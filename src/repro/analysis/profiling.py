@@ -6,13 +6,16 @@ callable in :mod:`cProfile` (and optionally :mod:`tracemalloc`) and
 reduces the raw stats three ways:
 
 * **Buckets** — every profiled function is attributed to one runtime
-  layer by its source location: ``kernel`` (the DES engine in
-  :mod:`repro.sim.core` / ``events`` / ``process``), ``mailbox`` (the
-  cross-shard :class:`~repro.sim.shard.Mailbox`), ``barrier`` (the
-  rest of the shard kernel plus the wire format in
-  :mod:`repro.sim.frames`), ``fabric`` (the IB/fabric hardware model),
-  ``model`` (everything else under ``repro``) and ``other`` (stdlib
-  and third-party frames).  Bucket seconds are *self* time, so the
+  layer by the ``repro`` package its module lives in: ``kernel`` (the
+  DES engine, :mod:`repro.sim`), ``mailbox`` (the cross-shard
+  :class:`~repro.sim.shard.Mailbox`), ``barrier`` (the rest of the
+  shard runtime: barrier loop, wire frames, checkpoints), ``fabric``
+  (the hardware and IB models, ``hw``/``ib``), ``xen`` (credit
+  scheduler and hypervisor), ``resex`` (the ResEx market and IBMon),
+  ``apps`` (BenchEx, finance and workload traces), ``runtime`` (every
+  other ``repro`` module: scenario builders, faults, service,
+  telemetry, sweep and CLI plumbing) and ``other`` (stdlib and
+  third-party frames).  Bucket seconds are *self* time, so the
   buckets partition the profiled total exactly.
 * **Hot spots** — a JSON-ready table of the top functions by
   cumulative time, with self time and call counts.
@@ -47,13 +50,28 @@ __all__ = [
 ]
 
 #: The runtime layers, in reporting order.
-BUCKETS = ("kernel", "mailbox", "barrier", "fabric", "model", "other")
+BUCKETS = (
+    "kernel", "mailbox", "barrier", "fabric", "xen", "resex", "apps",
+    "runtime", "other",
+)
 
-_KERNEL_FILES = ("/repro/sim/core.py", "/repro/sim/events.py",
-                 "/repro/sim/process.py")
-_BARRIER_FILES = ("/repro/sim/shard.py", "/repro/sim/frames.py",
-                  "/repro/sim/shard_types.py")
-_FABRIC_PARTS = ("/repro/hw/fabric.py", "/repro/ib/")
+#: Bucket of each top-level ``repro`` package; a package not listed
+#: here drives the model rather than being part of it (``runtime``).
+_PACKAGE_BUCKETS = {
+    "sim": "kernel",
+    "hw": "fabric",
+    "ib": "fabric",
+    "xen": "xen",
+    "resex": "resex",
+    "ibmon": "resex",
+    "benchex": "apps",
+    "finance": "apps",
+    "workloads": "apps",
+}
+#: The shard runtime lives inside ``repro.sim`` but is not the kernel.
+_SHARD_MODULES = frozenset(
+    ("sim/shard.py", "sim/shard_types.py", "sim/frames.py", "sim/checkpoint.py")
+)
 
 
 def _mailbox_line_range() -> Tuple[int, int]:
@@ -73,20 +91,17 @@ class _Classifier:
 
     def bucket(self, filename: str, lineno: int) -> str:
         path = filename.replace("\\", "/")
-        if any(path.endswith(p) for p in _KERNEL_FILES):
-            return "kernel"
-        if path.endswith("/repro/sim/shard.py"):
+        if "/repro/" not in path:
+            return "other"
+        module = path.rsplit("/repro/", 1)[1]
+        if module == "sim/shard.py":
             if self._mailbox_span is None:
                 self._mailbox_span = _mailbox_line_range()
             lo, hi = self._mailbox_span
             return "mailbox" if lo <= lineno < hi else "barrier"
-        if any(path.endswith(p) for p in _BARRIER_FILES):
+        if module in _SHARD_MODULES:
             return "barrier"
-        if any(p in path for p in _FABRIC_PARTS):
-            return "fabric"
-        if "/repro/" in path:
-            return "model"
-        return "other"
+        return _PACKAGE_BUCKETS.get(module.split("/", 1)[0], "runtime")
 
 
 _classifier = _Classifier()

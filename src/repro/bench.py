@@ -26,12 +26,13 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Pre-optimization reference times (seconds of process time, best of
-#: three interleaved A/B rounds against the pre-fast-path tree on the
-#: capture host).  ``repro bench`` reports current numbers next to
-#: these so the recorded speedup is honest: both sides were measured
-#: with the same statistic in the same session, alternating versions
-#: to cancel host drift.  Regenerate only with that methodology (see
-#: docs/benchmarking.md).
+#: three rounds of the pre-fast-path tree), frozen in the source when
+#: the fast path landed.  ``repro bench`` divides each workload's
+#: best-of-rounds process time by these constants to report
+#: ``speedup_vs_pre``.  The harness never re-runs the old tree: there
+#: are no interleaved pre/post rounds, so the ratio carries every
+#: difference of host and session since the capture and is not a
+#: measured speedup.
 PRE_OPTIMIZATION_PROCESS_S: Dict[str, float] = {}  # populated below
 
 
@@ -546,8 +547,8 @@ WORKLOADS: Dict[str, Tuple[Callable[[], Dict[str, Any]], str]] = {
     ),
 }
 
-# Best-of-3 process_time, interleaved pre/post A/B on the capture host
-# (see module docstring); pre = commit before the fast-path PR.
+# Best-of-3 process_time of the commit before the fast path, frozen at
+# capture (see PRE_OPTIMIZATION_PROCESS_S above).
 PRE_OPTIMIZATION_PROCESS_S.update(
     {
         "headline_managed": 1.232,
@@ -615,10 +616,14 @@ def run_benchmarks(
         "rounds": rounds,
         "statistic": "best-of-rounds time.process_time() per workload",
         "methodology": (
-            "pre_optimization_process_s values were captured with the same "
-            "statistic in interleaved pre/post A/B rounds on one host, so "
-            "speedup_vs_pre compares like with like; single absolute times "
-            "are host-dependent and NOT comparable across machines"
+            "each workload runs rounds times back to back in this process; "
+            "process_s_best is the best-of-rounds time.process_time(). "
+            "speedup_vs_pre divides pre_optimization_process_s, constants "
+            "frozen in the source when the fast path landed, by "
+            "process_s_best: no pre/post A/B rounds are run, so the ratio "
+            "includes any host or session drift since that capture; "
+            "absolute times are host-dependent and NOT comparable across "
+            "machines"
         ),
         "benchmarks": results,
     }

@@ -20,20 +20,30 @@ from repro.errors import FinanceError
 ArrayLike = Union[float, np.ndarray]
 
 
+def _nonpositive(x: ArrayLike) -> bool:
+    """True if ``x`` (a scalar or array) holds a value ``<= 0``.
+
+    Each argument takes its own path: a Python float or int (numpy
+    float64 included) is a plain comparison, an ndarray one ufunc
+    reduction, and anything else (lists, other numpy scalars) the
+    generic ``np.asarray`` route.  NaN compares false on every path, so
+    it passes.
+    """
+    if isinstance(x, (float, int)):
+        return x <= 0
+    if isinstance(x, np.ndarray):
+        return bool((x <= 0).any())
+    return bool(np.any(np.asarray(x) <= 0))
+
+
 def _validate(S: ArrayLike, K: ArrayLike, sigma: ArrayLike, T: ArrayLike) -> None:
-    try:
-        # Scalar fast path: plain comparisons, no asarray/np.any round trip.
-        if S > 0 and K > 0 and sigma > 0 and T > 0:
-            return
-    except (TypeError, ValueError):
-        pass  # array operand -> ambiguous truth value; use vector checks
-    if np.any(np.asarray(S) <= 0):
+    if _nonpositive(S):
         raise FinanceError("spot price must be positive")
-    if np.any(np.asarray(K) <= 0):
+    if _nonpositive(K):
         raise FinanceError("strike must be positive")
-    if np.any(np.asarray(sigma) <= 0):
+    if _nonpositive(sigma):
         raise FinanceError("volatility must be positive")
-    if np.any(np.asarray(T) <= 0):
+    if _nonpositive(T):
         raise FinanceError("time to expiry must be positive")
 
 

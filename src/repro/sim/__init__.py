@@ -19,6 +19,7 @@ from repro.sim.events import (
     Condition,
     ConditionValue,
     Event,
+    FirstOf,
     Interrupt,
     Timeout,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
+    "FirstOf",
     "INFINITY",
     "Interrupt",
     "Mailbox",

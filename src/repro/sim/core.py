@@ -20,6 +20,7 @@ from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
+    FirstOf,
     Timeout,
 )
 from repro.sim.process import Process, ProcessGenerator
@@ -98,6 +99,11 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event triggering once any of ``events`` has triggered."""
         return AnyOf(self, events)
+
+    def first_of(self, a: Event, b: Event) -> FirstOf:
+        """Event triggering with the outcome of whichever of ``a``/``b``
+        fires first (a lean :meth:`any_of` whose value is the winner's)."""
+        return FirstOf(self, a, b)
 
     # -- scheduling -------------------------------------------------------------
     def schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:

@@ -300,6 +300,48 @@ class AnyOf(Condition):
         super().__init__(env, Condition.any_events, events)
 
 
+class FirstOf(Event):
+    """Triggers with the outcome of whichever of two events fires first.
+
+    The lean two-event form of :class:`AnyOf` for waiters that never
+    read the condition's value: it lands on the heap at the same
+    ``(now, NORMAL, seq)`` an ``AnyOf([a, b])`` would, and a failure
+    propagates (and is defused) the same way, but its value is the
+    winning event's value rather than a :class:`ConditionValue`, and
+    it skips the evaluate callback and the sub-event bookkeeping.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", a: Event, b: Event) -> None:
+        if a.env is not env or b.env is not env:
+            raise SimulationError("cannot mix events from different environments")
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        check = self._check
+        for event in (a, b):
+            cbs = event.callbacks
+            if cbs is None:
+                check(event)
+            elif self._value is PENDING:
+                cbs.append(check)
+
+    def _check(self, event: Event) -> None:
+        if self._value is not PENDING:
+            return
+        ok = self._ok = event._ok
+        if not ok:
+            # Propagate the first failure, as Condition does.
+            event._defused = True
+        self._value = event._value
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, NORMAL, env._seq, self))
+
+
 class Interrupt(Exception):
     """Thrown into a process when :meth:`Process.interrupt` is called."""
 

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.errors import SchedulerError
 from repro.sim.core import Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 from repro.sim.invariants import GUARD_CREDIT_CAP
 from repro.units import MS
 from repro.xen.vcpu import VCPU, Compute, PollUntil
@@ -153,8 +153,8 @@ class PCPUScheduler:
                     # Capped out, or idle mid-period: wait for work or the
                     # period boundary (budgets replenish only there).
                     self._work_signal = Event(env)
-                    yield env.any_of(
-                        [self._work_signal, env.timeout(period_end - env.now)]
+                    yield env.first_of(
+                        self._work_signal, env.timeout(period_end - env.now)
                     )
                     self._work_signal = None
                     continue
@@ -170,20 +170,50 @@ class PCPUScheduler:
                 # competition; a lone VCPU runs to its budget/period edge.
                 if len(eligible) > 1:
                     horizon = min(horizon, quantum_ns)
-                slice_start = env.now
-                inv = env.invariants
+                slice_start = env._now
+                item = vcpu._work[0]
+                if item.started_at is None:
+                    item.started_at = slice_start
+                # A PollUntil slice may legitimately overshoot the horizon
+                # by the final poll check that observes the completion;
+                # anything beyond that is a cap-accounting violation.
                 slice_slack = 0
-                if inv.enabled:
-                    # A PollUntil slice may legitimately overshoot the
-                    # horizon by the final poll check that observes the
-                    # completion; anything beyond that is a cap-
-                    # accounting violation.
-                    head = vcpu.current_item()
-                    if isinstance(head, PollUntil):
-                        slice_slack = head.check_cost_ns
                 vcpu._running_since = slice_start
-                ran = yield from self._run_vcpu(vcpu, horizon)
+                # --- run the head work item for at most `horizon` ------
+                # (inlined rather than a `yield from` helper: one
+                # generator frame per slice on the hottest loop)
+                if isinstance(item, Compute):
+                    ran = min(horizon, item.remaining)
+                    if ran > 0:
+                        yield env.timeout(ran)
+                    item.remaining -= ran
+                    if item.remaining <= 0:
+                        vcpu._finish_current()
+                elif isinstance(item, PollUntil):
+                    slice_slack = item.check_cost_ns
+                    done = item.event
+                    if done.callbacks is None or done._value is not PENDING:
+                        # Completion already there: one poll check sees it.
+                        ran = max(min(item.check_cost_ns, horizon), 1)
+                        yield env.timeout(ran)
+                        item.polled_ns += ran
+                        vcpu._finish_current(item.polled_ns)
+                    else:
+                        yield env.first_of(env.timeout(horizon), done)
+                        ran = env._now - slice_start
+                        item.polled_ns += ran
+                        if done._value is not PENDING:
+                            # Charge the final poll check that observes
+                            # the CQE.
+                            d = item.check_cost_ns
+                            yield env.timeout(d)
+                            item.polled_ns += d
+                            ran += d
+                            vcpu._finish_current(item.polled_ns)
+                else:  # pragma: no cover
+                    raise SchedulerError(f"unknown work item type: {item!r}")
                 vcpu._running_since = None
+                inv = env.invariants
                 if inv.enabled and not (0 <= ran <= horizon + slice_slack):
                     inv.violation(
                         GUARD_CREDIT_CAP,
@@ -212,51 +242,6 @@ class PCPUScheduler:
                         used_in_period_ns=vcpu.used_in_period,
                         cap_pct=vcpu.cap_percent,
                     )
-
-    def _run_vcpu(self, vcpu: VCPU, horizon_ns: int):
-        """Run the VCPU's head work item for at most ``horizon_ns``.
-
-        Returns the CPU time actually consumed.
-        """
-        env = self.env
-        item = vcpu.current_item()
-        assert item is not None
-        if item.started_at is None:
-            item.started_at = env.now
-
-        if isinstance(item, Compute):
-            d = min(horizon_ns, item.remaining)
-            if d > 0:
-                yield env.timeout(d)
-            item.remaining -= d
-            if item.remaining <= 0:
-                vcpu._finish_current()
-            return d
-
-        if isinstance(item, PollUntil):
-            if item.event.callbacks is None or item.event.triggered:
-                # Completion already there: one poll check sees it.
-                d = min(item.check_cost_ns, horizon_ns)
-                d = max(d, 1)
-                yield env.timeout(d)
-                item.polled_ns += d
-                vcpu._finish_current(item.polled_ns)
-                return d
-            start = env.now
-            quantum = env.timeout(horizon_ns)
-            yield env.any_of([quantum, item.event])
-            ran = env.now - start
-            item.polled_ns += ran
-            if item.event.triggered:
-                # Charge the final poll check that observes the CQE.
-                d = item.check_cost_ns
-                yield env.timeout(d)
-                item.polled_ns += d
-                ran += d
-                vcpu._finish_current(item.polled_ns)
-            return ran
-
-        raise SchedulerError(f"unknown work item type: {item!r}")  # pragma: no cover
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` spent running guest work."""

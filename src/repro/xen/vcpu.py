@@ -151,9 +151,6 @@ class VCPU:
     def has_work(self) -> bool:
         return bool(self._work)
 
-    def current_item(self) -> Optional[WorkItem]:
-        return self._work[0] if self._work else None
-
     def compute(self, duration_ns: int) -> Event:
         """Submit a compute burst; returns its completion event."""
         item = Compute(self.env, duration_ns)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
+from repro.telemetry import TelemetryBus
 from repro.units import MS, US
 from repro.xen.credit import PCPUScheduler
 from repro.xen.vcpu import VCPU
@@ -20,21 +21,12 @@ def test_cap_is_never_exceeded_per_period(cap, bursts):
     """In any accounting period a VCPU consumes at most cap% + one
     final-poll-check of slack."""
     env = Environment()
+    # Every slice that consumed CPU emits one credit span stamped with
+    # its start and ``ran_ns``: the per-slice accounting to check.
+    env.telemetry = TelemetryBus(kernel_sample_every=0)
     sched = PCPUScheduler(env, 0)
     vcpu = VCPU(env, 0, cap_percent=cap)
     sched.attach(vcpu)
-
-    usage_by_period = {}
-    orig_run = sched._run_vcpu
-
-    def tracking_run(v, horizon):
-        start = env.now
-        ran = yield from orig_run(v, horizon)
-        period = start // sched.period_ns
-        usage_by_period[period] = usage_by_period.get(period, 0) + ran
-        return ran
-
-    sched._run_vcpu = tracking_run
 
     def app(env):
         for burst in bursts:
@@ -42,6 +34,13 @@ def test_cap_is_never_exceeded_per_period(cap, bursts):
 
     env.process(app(env))
     env.run(until=200 * MS)
+
+    usage_by_period = {}
+    for span in env.telemetry.select(kind="span", cat="credit"):
+        period = span.ts_ns // sched.period_ns
+        ran = span.args_dict()["ran_ns"]
+        usage_by_period[period] = usage_by_period.get(period, 0) + ran
+    assert usage_by_period, "no credit slice ran"
 
     budget = sched.period_ns * cap // 100
     for period, used in usage_by_period.items():
