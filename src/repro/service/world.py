@@ -44,11 +44,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+from repro.durable import atomic_write
 from repro.errors import AdmissionError, CheckpointError, ConfigError
 from repro.experiments.platform import Node, Testbed
 from repro.resex import ResExController, policy_by_name
@@ -438,28 +437,14 @@ def _snapshot_digest(snap: Dict[str, Any]) -> str:
 def save_world_snapshot(path: str, snap: Dict[str, Any]) -> str:
     """Atomically persist a world snapshot, digest-stamped.
 
-    Written to a temp file, fsynced and ``os.replace``d so a crash
+    Written with :func:`repro.durable.atomic_write`, so a crash
     mid-write can never leave a half snapshot under the final name.
     Returns the snapshot's content digest.
     """
     digest = _snapshot_digest(snap)
     doc = {"schema": WORLD_FILE_SCHEMA, "digest": digest, "snapshot": snap}
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    atomic_write(path, text.encode("utf-8"))
     return digest
 
 

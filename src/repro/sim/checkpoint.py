@@ -29,7 +29,7 @@ On-disk format (``ckpt/1``)::
 
     b"RXC1" + sha256(body) [32 bytes] + body (pickled payload dict)
 
-Files are written atomically (temp file + fsync + ``os.replace``) and
+Files are written atomically (:func:`repro.durable.atomic_write`) and
 named ``ckpt-<windows:08d>-<digest12>.rxc`` — content-addressed, so a
 torn or doubled write can never alias a good checkpoint.  Every file is
 self-contained (the full journal from t=0), so falling back from a
@@ -42,13 +42,12 @@ structured :class:`~repro.errors.CheckpointError`;
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.durable import atomic_write
 from repro.errors import CheckpointError, ConfigError
 
 __all__ = [
@@ -284,30 +283,12 @@ def save_checkpoint(
     converge on one file and a torn write can only ever produce a file
     that fails validation — never one that aliases a good checkpoint.
     """
-    directory = config.path
-    directory.mkdir(parents=True, exist_ok=True)
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).digest()
     name = f"ckpt-{int(payload['k']):08d}-{digest.hex()[:12]}{_SUFFIX}"
-    final = directory / name
-    fd, tmp = tempfile.mkstemp(
-        prefix=".ckpt-", suffix=".tmp", dir=str(directory)
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(digest)
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _prune(directory, config.keep)
+    final = config.path / name
+    atomic_write(final, CKPT_MAGIC + digest + body)
+    _prune(config.path, config.keep)
     return final
 
 

@@ -61,31 +61,41 @@ Determinism contract (the reason sharded == serial bit-for-bit):
   are exactly those of the per-window schedule, so ``coalesce=False``
   (the escape hatch) produces the same bytes barrier by barrier.
 
-Two backends share the barrier loop: ``inline`` keeps every shard in
-the calling process (the reference semantics, and the backend property
-tests permute), ``fork`` runs one OS process per shard with the parent
-relaying struct-packed message frames (:mod:`repro.sim.frames`)
-between barriers — the multi-core path.
+**One loop, two transports.**  A single parent-side barrier loop owns
+the protocol: the horizon fold, the stride, :class:`ShardStats`, the
+replay journal, the checkpoint cadence, host fault hooks and the final
+merge.  It reaches shards only through a transport that returns a
+shard's outbox frame for a barrier, delivers its inbox frame, and
+respawns it at t=0.  ``inline`` keeps every shard's world in the
+calling process (the reference semantics, and the backend the property
+tests permute); ``fork`` runs one OS process per shard and relays the
+same struct-packed frames (:mod:`repro.sim.frames`) over pipes — the
+multi-core path.  Both run the same shard-side steps, so the loop sees
+the same bytes on either.
 
 **Crash tolerance.**  Because delivery order and stride decisions are
 pure functions of the frames exchanged, a shard's whole trajectory is
-replayable from the ordered parent->worker frame stream — which is
-exactly what :mod:`repro.sim.checkpoint` journals.  With a
-:class:`~repro.sim.checkpoint.RecoveryPolicy`, the fork backend
-survives a worker death mid-run: the dead shard is respawned (seeded
-backoff, bounded budget) and the journal replayed in lockstep, each
-regenerated outbox frame digest-checked against the recorded one, so
-the recovered run is byte-identical to an uninterrupted one.  With a
-:class:`~repro.sim.checkpoint.CheckpointConfig`, the journal is also
-flushed to disk at a barrier cadence, and ``restore=True`` resumes an
-interrupted run from the newest usable checkpoint file.
+replayable from the ordered parent->shard frame stream — which is
+exactly what :mod:`repro.sim.checkpoint` journals.  One replay routine
+re-executes that journal into a freshly built shard, digest-checks each
+regenerated outbox frame against the recorded one, and must end on the
+loop's own position.  It resumes an interrupted run from the newest
+:class:`~repro.sim.checkpoint.CheckpointConfig` file (``restore=True``,
+either backend), and with a
+:class:`~repro.sim.checkpoint.RecoveryPolicy` it heals a fork worker
+that died mid-run: the shard is respawned (seeded backoff, bounded
+budget) and replayed, so the recovered run is byte-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
+import signal
 import struct
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import (
@@ -426,8 +436,8 @@ def coalesce_stride(
     before ``horizon_ns``, so a message submitted during the stride is
     due at ``>= horizon_ns + lookahead_ns >= B + stride * lookahead``
     — at or after the stride-end barrier, where it is exchanged like
-    any other.  A pure function of its arguments: ``inline`` and
-    ``fork`` compute identical strides from identical reports.
+    any other.  A pure function of its arguments, computed once per
+    barrier by the loop both backends share.
     """
     if horizon_ns <= barrier_ns:
         stride = 1
@@ -457,15 +467,6 @@ class ShardWorld:
 
     def finalize(self) -> Any:  # pragma: no cover - protocol stub
         raise NotImplementedError
-
-
-def _finish_shard(world, until_ns: int) -> None:
-    """The closing phase: events at exactly ``until_ns``.
-
-    Messages submitted here are due strictly after the end of the run
-    and stay undelivered in every mode, so no barrier follows.
-    """
-    world.env.run(until=until_ns)
 
 
 def run_sharded(
@@ -566,16 +567,17 @@ def run_sharded(
                 n_windows=len(bounds),
             )
     if backend == "inline":
-        return _run_inline(
-            build, shard_map, bounds, until_ns, lookahead_ns, merge,
-            inline_order, coalesce, checkpoint=checkpoint,
-            restore_payload=restore_payload, world_key=world_key,
+        transport: Any = _InlineTransport(build, shard_map, until_ns, coalesce)
+    else:
+        transport = _ForkTransport(
+            build, shard_map, bounds, until_ns, lookahead_ns, coalesce
         )
-    return _run_forked(
-        build, shard_map, bounds, until_ns, lookahead_ns, merge, coalesce,
-        checkpoint=checkpoint, recovery=recovery,
-        restore_payload=restore_payload, world_key=world_key,
-        worker_faults=worker_faults,
+        inline_order = None
+    return _run_barriers(
+        transport, shard_map, bounds, until_ns, lookahead_ns, merge,
+        coalesce, inline_order=inline_order, checkpoint=checkpoint,
+        recovery=recovery, restore_payload=restore_payload,
+        world_key=world_key, worker_faults=worker_faults,
     )
 
 
@@ -585,179 +587,15 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-# -- inline backend ----------------------------------------------------------
-
-def _run_inline(
-    build,
-    shard_map: ShardMap,
-    bounds: Sequence[int],
-    until_ns: int,
-    lookahead_ns: int,
-    merge,
-    inline_order,
-    coalesce: bool,
-    checkpoint: Optional[CheckpointConfig] = None,
-    restore_payload: Optional[Dict[str, Any]] = None,
-    world_key: str = "",
-) -> Tuple[Any, ShardStats]:
-    worlds = [build(shard_map.domains_of(s)) for s in range(shard_map.shards)]
-    domain_shard = shard_map.domain_to_shard()
-    shards = shard_map.shards
-    stats = ShardStats(shards=shards, backend="inline", windows=len(bounds))
-    n = len(bounds)
-    k = 0
-    stride = 1
-    journal: Optional[ShardJournal] = None
-    if checkpoint is not None or restore_payload is not None:
-        journal = ShardJournal(shards)
-    if restore_payload is not None:
-        journal = journal_from_payload(restore_payload)
-        k, stride = _restore_stats(stats, restore_payload)
-        _replay_inline(worlds, journal, bounds, coalesce, k, stride)
-    while k < n:
-        j = k + stride - 1  # this stride's barrier window index
-        limit = bounds[j]
-        order = list(range(shards))
-        if inline_order is not None:
-            order = list(inline_order(j, order))
-            if sorted(order) != list(range(shards)):
-                raise ConfigError(
-                    f"inline_order returned {order}, not a permutation"
-                )
-        batches: List[List[Message]] = [[] for _ in range(shards)]
-        earliest_in = [INFINITY] * shards
-        covered = [False] * shards
-        horizon = INFINITY
-        for s in order:
-            world = worlds[s]
-            world.env.run_window(limit)
-            outbox = world.mailbox.drain_outbox()
-            reported, covers = world.mailbox.send_horizon()
-            if journal is not None:
-                journal.record_worker_frame(
-                    s, _pack_barrier(reported, covers, outbox)
-                )
-            for msg in outbox:
-                dest = domain_shard[msg.dest]
-                batches[dest].append(msg)
-                stats.messages_exchanged += 1
-                if msg.deliver_at < earliest_in[dest]:
-                    earliest_in[dest] = msg.deliver_at
-            if reported < horizon:
-                horizon = reported
-            covered[s] = covers
-        # A delivery may trigger a send at its own instant — but only
-        # on a shard whose bound doesn't already speak for deliveries.
-        for s in range(shards):
-            if not covered[s] and earliest_in[s] < horizon:
-                horizon = earliest_in[s]
-        # Hand over after every shard ran its window: a batch's content
-        # is then independent of the execution order above.
-        for s in range(shards):
-            worlds[s].mailbox.ingest(batches[s])
-        stats.barriers += 1
-        k = j + 1
-        if coalesce and k < n:
-            stride = coalesce_stride(limit, horizon, lookahead_ns, n - k)
-            if stride > stats.max_stride:
-                stats.max_stride = stride
-        else:
-            stride = 1
-        if journal is not None:
-            # The same frame the fork parent would pipe: stride
-            # piggybacked on the inbox batch — journals (and therefore
-            # checkpoints) are backend-portable.
-            for s in range(shards):
-                journal.record_parent_frame(
-                    s, _pack_barrier(stride, False, batches[s])
-                )
-        if (
-            checkpoint is not None
-            and stats.barriers % checkpoint.every == 0
-        ):
-            save_checkpoint(
-                checkpoint,
-                checkpoint_payload(
-                    world_key=world_key, k=k, stride=stride,
-                    until_ns=until_ns, lookahead_ns=lookahead_ns,
-                    n_domains=shard_map.n_domains, shards=shards,
-                    coalesce=coalesce, stats=stats.to_dict(),
-                    journal=journal,
-                ),
-            )
-    for world in worlds:
-        _finish_shard(world, until_ns)
-    stats.events_per_shard = [w.env.events_processed for w in worlds]
-    stats.sent_per_shard = [w.mailbox.sent for w in worlds]
-    return merge([w.finalize() for w in worlds]), stats
-
-
-def _restore_stats(
-    stats: ShardStats, payload: Dict[str, Any]
-) -> Tuple[int, int]:
-    """Resume ``stats`` from a checkpoint payload; return (k, stride)."""
-    recorded = payload.get("stats", {})
-    stats.barriers = int(recorded.get("barriers", 0))
-    stats.messages_exchanged = int(recorded.get("messages_exchanged", 0))
-    stats.max_stride = int(recorded.get("max_stride", 1))
-    return int(payload["k"]), int(payload["stride"])
-
-
-def _replay_inline(
-    worlds, journal: ShardJournal, bounds, coalesce: bool,
-    resume_k: int, resume_stride: int,
-) -> None:
-    """Re-execute the journaled exchanges against freshly built worlds.
-
-    The inline twin of the fork backend's respawn replay: run each
-    window, digest-check the regenerated outbox frame against the
-    journal, then ingest the recorded inbox frame.  Ends with every
-    world at the checkpointed barrier, or raises
-    :class:`~repro.errors.ShardSyncError` if the rebuild diverges.
-    """
-    shards = len(worlds)
-    exchanges = journal.exchanges(0) if shards else 0
-    k = 0
-    stride = 1
-    for i in range(exchanges):
-        j = k + stride - 1
-        limit = bounds[j]
-        next_stride = 1
-        for s in range(shards):
-            world = worlds[s]
-            world.env.run_window(limit)
-            outbox = world.mailbox.drain_outbox()
-            reported, covers = world.mailbox.send_horizon()
-            regenerated = _pack_barrier(reported, covers, outbox)
-            got = hashlib.sha256(regenerated).hexdigest()
-            want = journal.digests[s][i]
-            if got != want:
-                raise ShardSyncError(
-                    f"shard {s} diverged during checkpoint replay at "
-                    f"exchange {i}: regenerated frame digest {got[:12]} "
-                    f"!= recorded {want[:12]}; the build is not "
-                    "deterministic, so the checkpoint cannot restore "
-                    "this run"
-                )
-            next_stride, _, incoming = _unpack_barrier(journal.frames[s][i])
-            world.mailbox.ingest(incoming)
-        k = j + 1
-        stride = next_stride if coalesce and next_stride > 1 else 1
-    if k != resume_k or stride != resume_stride:
-        raise CheckpointError(
-            f"checkpoint loop state (k={resume_k}, stride={resume_stride}) "
-            f"does not match its own journal (k={k}, stride={stride})"
-        )
-
-
-# -- fork backend ------------------------------------------------------------
+# -- frames ------------------------------------------------------------------
 #
-# Pipe protocol, one frame per direction per barrier (``send_bytes``,
-# so a batch is one write, not one pickle per message):
+# One frame per direction per barrier (over a pipe, ``send_bytes``, so a
+# batch is one write, not one pickle per message; inline, the same bytes
+# handed across a function call):
 #
-#   worker -> parent   b"F" + horizon:i64 + covers:u8 + batch (outbox)
-#   parent -> worker   b"F" + stride:i64  + 0:u8      + batch (inbox)
-#   worker -> parent   b"E" + pickled envelope (final, or on error)
+#   shard -> parent   b"F" + horizon:i64 + covers:u8 + batch (outbox)
+#   parent -> shard   b"F" + stride:i64  + 0:u8      + batch (inbox)
+#   worker -> parent  b"E" + pickled envelope (final, or on error; fork)
 
 _BARRIER_HEAD = struct.Struct("!qB")
 _FRAME_ENVELOPE = 0x45  # b"E"
@@ -774,15 +612,60 @@ def _unpack_barrier(frame: bytes) -> Tuple[int, bool, List[Message]]:
     return value, bool(flag), decode_batch(frame[1 + _BARRIER_HEAD.size:])
 
 
+def _envelope_error(frame: bytes) -> str:
+    return pickle.loads(frame[1:]).get("error", "unknown worker error")
+
+
+# -- the shard side ----------------------------------------------------------
+#
+# What one shard does at a barrier, whichever transport carries its
+# frames: the inline transport calls these per shard, the fork worker
+# calls them in its own loop.
+
+def _shard_step(world, limit: int) -> Tuple[int, bool, List[Message]]:
+    """Run the window up to ``limit``, report the send horizon, drain
+    the outbox: the content of one outbox frame."""
+    world.env.run_window(limit)
+    bound, covers = world.mailbox.send_horizon()
+    return bound, covers, world.mailbox.drain_outbox()
+
+
+def _frame_stride(frame: bytes, coalesce: bool) -> int:
+    """The stride an inbox frame orders.  The parent's decision is
+    authoritative; a run without elision always advances one window."""
+    stride = _BARRIER_HEAD.unpack_from(frame, 1)[0]
+    return stride if coalesce and stride > 1 else 1
+
+
+def _ingest_step(world, frame: bytes, coalesce: bool) -> int:
+    """Ingest an inbox frame; return the stride to the next barrier."""
+    world.mailbox.ingest(decode_batch(frame[1 + _BARRIER_HEAD.size:]))
+    return _frame_stride(frame, coalesce)
+
+
+def _finish_step(world, until_ns: int) -> Dict[str, Any]:
+    """The closing phase, then the shard's envelope.
+
+    Events at exactly ``until_ns`` run here; messages they submit are
+    due strictly after the end of the run and stay undelivered in
+    every mode, so no barrier follows.
+    """
+    world.env.run(until=until_ns)
+    return {
+        "result": world.finalize(),
+        "events": world.env.events_processed,
+        "sent": world.mailbox.sent,
+    }
+
+
 def _shard_worker(
     build, domains, bounds, until_ns, lookahead_ns, coalesce, conn
 ) -> None:
     """One shard's process: windows, barriers, final phase, envelope.
 
-    The world stays resident for the whole run; the loop binds its
-    window/drain/ingest entry points once (no per-window attribute or
-    shard-map lookups) and exchanges struct-packed frames with the
-    parent, whose stride decision arrives piggybacked on the inbox.
+    The world stays resident for the whole run and exchanges
+    struct-packed frames with the parent, whose stride decision arrives
+    piggybacked on the inbox.
     """
     envelope: Dict[str, Any] = {}
     ambient = _invariants.current()
@@ -790,29 +673,15 @@ def _shard_worker(
     _invariants.install(monitor)
     try:
         world = build(tuple(domains))
-        run_window = world.env.run_window
-        drain = world.mailbox.drain_outbox
-        ingest = world.mailbox.ingest
-        send_horizon = world.mailbox.send_horizon
-
         n = len(bounds)
         k = 0
         stride = 1
         while k < n:
             j = k + stride - 1
-            run_window(bounds[j])
-            bound, covers = send_horizon()
-            conn.send_bytes(_pack_barrier(bound, covers, drain()))
-            next_stride, _, incoming = _unpack_barrier(conn.recv_bytes())
-            ingest(incoming)
+            conn.send_bytes(_pack_barrier(*_shard_step(world, bounds[j])))
+            stride = _ingest_step(world, conn.recv_bytes(), coalesce)
             k = j + 1
-            # The parent's decision is authoritative (and identical to
-            # what the inline loop would compute from the same reports).
-            stride = next_stride if coalesce and next_stride > 1 else 1
-        _finish_shard(world, until_ns)
-        envelope["result"] = world.finalize()
-        envelope["events"] = world.env.events_processed
-        envelope["sent"] = world.mailbox.sent
+        envelope = _finish_step(world, until_ns)
     except BaseException as exc:
         envelope = {
             "error": f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
@@ -828,118 +697,254 @@ def _shard_worker(
     conn.close()
 
 
-def _run_forked(
-    build,
+# -- transports --------------------------------------------------------------
+#
+# The barrier loop reaches shards only through a transport:
+#
+#   outbox(s, limit)   shard s's outbox frame for the barrier at ``limit``,
+#                      with its content (None for an envelope frame)
+#   deliver(s, frame)  hand shard s its inbox frame
+#   respawn(s)         restart shard s from t=0 (the loop then replays it)
+#   finish(s)          shard s's closing envelope
+#
+# plus ``start()``/``close(finished)`` around the run and ``procs`` for host
+# fault hooks.  A transport that loses a shard raises :class:`_ShardDied`.
+
+class _ShardDied(Exception):
+    """A shard's worker is gone; the message says how."""
+
+
+class _InlineTransport:
+    """Every shard's world in the calling process: the reference
+    semantics, and the backend the property suite permutes."""
+
+    backend = "inline"
+    procs: Sequence[Any] = ()
+
+    def __init__(self, build, shard_map: ShardMap, until_ns: int,
+                 coalesce: bool) -> None:
+        self._build = build
+        self._map = shard_map
+        self._until_ns = until_ns
+        self._coalesce = coalesce
+        self.worlds: List[Any] = []
+
+    def start(self) -> None:
+        self.worlds = [
+            self._build(self._map.domains_of(s))
+            for s in range(self._map.shards)
+        ]
+
+    def close(self, finished: bool) -> None:
+        pass
+
+    def outbox(self, s: int, limit: int):
+        # The content is the very messages packed, in drain order; the
+        # routed inbox frames (and so the journal) keep that order.
+        report = _shard_step(self.worlds[s], limit)
+        return _pack_barrier(*report), report
+
+    def deliver(self, s: int, frame: bytes) -> None:
+        _ingest_step(self.worlds[s], frame, self._coalesce)
+
+    def respawn(self, s: int) -> None:
+        self.worlds[s] = self._build(self._map.domains_of(s))
+
+    def finish(self, s: int) -> Dict[str, Any]:
+        return _finish_step(self.worlds[s], self._until_ns)
+
+
+class _ForkTransport:
+    """One OS process per shard, frames over pipes: the multi-core
+    path."""
+
+    backend = "fork"
+
+    def __init__(self, build, shard_map: ShardMap, bounds: Sequence[int],
+                 until_ns: int, lookahead_ns: int, coalesce: bool) -> None:
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("fork")
+        self._build = build
+        self._map = shard_map
+        self._args = (list(bounds), until_ns, lookahead_ns, coalesce)
+        self.pipes: List[Any] = [None] * shard_map.shards
+        self.procs: List[Any] = [None] * shard_map.shards
+
+    def start(self) -> None:
+        # Freeze the parent heap across the spawns.  A forked child
+        # shares the parent's pages copy-on-write, but CPython's cyclic
+        # collector scans every tracked object — which writes to every
+        # inherited page's refcount fields and faults the whole heap
+        # into the child.  Collecting then moving survivors to the
+        # permanent generation keeps the children's collector off the
+        # shared pages entirely; measured on cluster_scale this roughly
+        # quarters child minor faults and brings total fork-run CPU
+        # back to parity with serial.
+        gc.collect()
+        gc.freeze()
+        for s in range(self._map.shards):
+            self._spawn(s)
+
+    def close(self, finished: bool) -> None:
+        gc.unfreeze()
+        for s in range(self._map.shards):
+            self._reap(s, finished)
+
+    def outbox(self, s: int, limit: int):
+        frame = self._recv(s)
+        if frame[0] == _FRAME_ENVELOPE:
+            return frame, None
+        return frame, _unpack_barrier(frame)
+
+    def deliver(self, s: int, frame: bytes) -> None:
+        try:
+            self.pipes[s].send_bytes(frame)
+        except OSError:
+            raise _ShardDied(
+                f"pipe broke on send; {self._death_detail(s)}"
+            ) from None
+
+    def respawn(self, s: int) -> None:
+        self._reap(s, False)
+        self._spawn(s)
+
+    def finish(self, s: int) -> Dict[str, Any]:
+        frame = self._recv(s)
+        if frame[0] != _FRAME_ENVELOPE:  # pragma: no cover - defensive
+            raise ShardSyncError(
+                f"shard {s} sent a barrier frame where its final "
+                "envelope was due (protocol desync)"
+            )
+        return pickle.loads(frame[1:])
+
+    def _recv(self, s: int) -> bytes:
+        try:
+            return self.pipes[s].recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise _ShardDied(
+                f"pipe closed ({type(exc).__name__}); {self._death_detail(s)}"
+            ) from None
+
+    def _spawn(self, s: int) -> None:
+        parent_conn, child_conn = self._ctx.Pipe()
+        # Looked up at spawn time, so a wrapped entry point (a profiler)
+        # runs in the worker.
+        proc = self._ctx.Process(
+            target=_shard_worker,
+            args=(self._build, self._map.domains_of(s), *self._args,
+                  child_conn),
+            name=f"repro-shard-{s}",
+        )
+        proc.start()
+        child_conn.close()
+        self.pipes[s] = parent_conn
+        self.procs[s] = proc
+
+    def _reap(self, s: int, finished: bool) -> None:
+        """Close shard ``s``'s pipe and wait for its worker.
+
+        A worker that is not finishing is terminated first: blocked on
+        its pipe, it would never see our end close, because it holds an
+        inherited copy of it.
+        """
+        conn, proc = self.pipes[s], self.procs[s]
+        if conn is not None:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+        if proc is not None:
+            if not finished:
+                proc.terminate()
+            proc.join(timeout=30)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join()
+
+    def _death_detail(self, s: int) -> str:
+        proc = self.procs[s]
+        proc.join(timeout=1)  # a just-killed child may not be reaped yet
+        code = proc.exitcode
+        if code is None:  # pragma: no cover - still running
+            return "worker still running"
+        if code < 0:
+            try:
+                name = signal.Signals(-code).name
+            except ValueError:  # pragma: no cover - unknown signal
+                name = "unknown"
+            return f"killed by signal {-code} ({name})"
+        return f"exited with code {code}"
+
+
+# -- the barrier loop --------------------------------------------------------
+
+def _run_barriers(
+    transport,
     shard_map: ShardMap,
     bounds: Sequence[int],
     until_ns: int,
     lookahead_ns: int,
     merge,
     coalesce: bool,
-    checkpoint: Optional[CheckpointConfig] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-    restore_payload: Optional[Dict[str, Any]] = None,
-    world_key: str = "",
-    worker_faults: Sequence[Callable[[int, Sequence[Any]], None]] = (),
+    *,
+    inline_order,
+    checkpoint: Optional[CheckpointConfig],
+    recovery: Optional[RecoveryPolicy],
+    restore_payload: Optional[Dict[str, Any]],
+    world_key: str,
+    worker_faults: Sequence[Callable[[int, Sequence[Any]], None]],
 ) -> Tuple[Any, ShardStats]:
-    import gc
-    import multiprocessing
-    import signal as _signal
-    import time as _time
+    """The one barrier loop, over either transport.
 
-    ctx = multiprocessing.get_context("fork")
+    Per barrier: collect every shard's outbox frame, route its
+    messages, fold the send horizon, pick the stride, hand each shard
+    its inbox frame (stride piggybacked), count, journal, checkpoint.
+    Both transports speak the same frames, so journals — and therefore
+    checkpoints — are backend-portable.
+    """
     shards = shard_map.shards
-    stats = ShardStats(shards=shards, backend="fork", windows=len(bounds))
     domain_shard = shard_map.domain_to_shard()
     n = len(bounds)
+    stats = ShardStats(shards=shards, backend=transport.backend, windows=n)
     k = 0
     stride = 1
     journal: Optional[ShardJournal] = None
-    if (
-        checkpoint is not None
-        or recovery is not None
-        or restore_payload is not None
-    ):
-        journal = ShardJournal(shards)
     if restore_payload is not None:
         journal = journal_from_payload(restore_payload)
-        k, stride = _restore_stats(stats, restore_payload)
+        recorded = restore_payload.get("stats", {})
+        stats.barriers = int(recorded.get("barriers", 0))
+        stats.messages_exchanged = int(recorded.get("messages_exchanged", 0))
+        stats.max_stride = int(recorded.get("max_stride", 1))
+        k, stride = int(restore_payload["k"]), int(restore_payload["stride"])
+    elif checkpoint is not None or recovery is not None:
+        journal = ShardJournal(shards)
     respawns = [0] * shards
-    pipes: List[Any] = [None] * shards
-    procs: List[Any] = [None] * shards
 
-    def _spawn(s: int) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_shard_worker,
-            args=(
-                build, shard_map.domains_of(s), list(bounds), until_ns,
-                lookahead_ns, coalesce, child_conn,
-            ),
-            name=f"repro-shard-{s}",
-        )
-        proc.start()
-        child_conn.close()
-        pipes[s] = parent_conn
-        procs[s] = proc
-
-    def _reap(s: int) -> None:
-        try:
-            pipes[s].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        proc = procs[s]
-        if proc is not None:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join()
-
-    def _death_detail(s: int) -> str:
-        proc = procs[s]
-        if proc is None:  # pragma: no cover - defensive
-            return "worker never started"
-        code = proc.exitcode
-        if code is None:
-            # A just-killed child may not be reaped yet.
-            proc.join(timeout=1)
-            code = proc.exitcode
-        if code is None:  # pragma: no cover - still running
-            return "worker still running"
-        if code < 0:
-            try:
-                name = _signal.Signals(-code).name
-            except ValueError:  # pragma: no cover - unknown signal
-                name = "unknown"
-            return f"killed by signal {-code} ({name})"
-        return f"exited with code {code}"
-
-    def _position(window: int) -> str:
+    def position(window: int) -> str:
         if window < n:
             return f"barrier {stats.barriers} (window {window}, t<={bounds[window]} ns)"
         return f"barrier {stats.barriers} (final phase, t<={until_ns} ns)"
 
-    def _replay(s: int) -> None:
-        """Lockstep-replay the journal into a freshly spawned worker.
+    def replay(s: int) -> None:
+        """Re-execute the journal into shard ``s``, freshly built.
 
-        The worker re-executes every window from t=0; each regenerated
-        outbox frame must digest-match what the original worker sent
-        (divergence means the build is not deterministic — a contract
-        violation, not a recoverable fault), and in exchange it is fed
-        the recorded inbox frame.  On return the worker sits exactly
-        where the parent's loop state says it should.
+        The shard re-runs every window from t=0; each regenerated
+        outbox frame must digest-match the recorded one (divergence
+        means the build is not deterministic — a contract violation,
+        not a recoverable fault), and in exchange it is fed the
+        recorded inbox frame.  The journal must then land exactly on
+        the loop's ``(k, stride)``.
         """
-        recv = pipes[s].recv_bytes
-        send = pipes[s].send_bytes
-        for i, frame in enumerate(journal.frames[s]):
-            regenerated = recv()
-            if regenerated[0] == _FRAME_ENVELOPE:
-                err = pickle.loads(regenerated[1:]).get(
-                    "error", "unknown worker error"
-                )
+        at_k = 0
+        at_stride = 1
+        for i, inbox in enumerate(journal.frames[s]):
+            j = at_k + at_stride - 1
+            regenerated, report = transport.outbox(s, bounds[j])
+            if report is None:
                 raise ShardSyncError(
                     f"shard {s} failed deterministically during replay "
-                    f"at exchange {i}: {err}"
+                    f"at exchange {i}: {_envelope_error(regenerated)}"
                 )
             got = hashlib.sha256(regenerated).hexdigest()
             want = journal.digests[s][i]
@@ -950,22 +955,26 @@ def _run_forked(
                     f"{want[:12]}; the build is not deterministic, so "
                     "the journal cannot restore this run"
                 )
-            send(frame)
+            transport.deliver(s, inbox)
+            at_k = j + 1
+            at_stride = _frame_stride(inbox, coalesce)
+        if at_k != k or at_stride != stride:
+            raise CheckpointError(
+                f"checkpoint loop state (k={k}, stride={stride}) does "
+                f"not match its own journal (k={at_k}, stride={at_stride})"
+            )
 
-    def _recover(s: int, window: int, reason: str) -> None:
-        """Respawn shard ``s``'s worker and replay it back to position.
+    def recover(s: int, window: int, reason: str) -> None:
+        """Respawn shard ``s`` and replay it back to position.
 
         Seeded backoff, bounded budget; exhausting the budget (or
         running without a :class:`RecoveryPolicy`) raises the terminal
-        :class:`ShardSyncError`, now carrying the barrier/window
-        position and the worker's exitcode or signal.
+        :class:`ShardSyncError`, carrying the barrier/window position
+        and the worker's exitcode or signal.
         """
         while True:
-            context = (
-                f"shard {s} worker died at {_position(window)}: "
-                f"{reason}; {_death_detail(s)}"
-            )
-            if recovery is None or journal is None:
+            context = f"shard {s} worker died at {position(window)}: {reason}"
+            if recovery is None:
                 raise ShardSyncError(
                     context + "; in-run recovery is off — see the "
                     "worker's stderr for any traceback"
@@ -977,92 +986,62 @@ def _run_forked(
                 ) from None
             respawns[s] += 1
             stats.respawns += 1
-            _reap(s)
             delay = recovery.backoff_s(s, respawns[s])
             if delay > 0:
-                _time.sleep(delay)
-            _spawn(s)
+                time.sleep(delay)
+            transport.respawn(s)
             try:
-                _replay(s)
+                replay(s)
                 return
-            except (EOFError, OSError) as exc:
-                reason = (
-                    f"worker died again during replay "
-                    f"({type(exc).__name__})"
-                )
+            except _ShardDied as died:
+                reason = f"worker died again during replay: {died}"
 
-    def _recv(s: int, window: int) -> bytes:
+    def retried(s: int, window: int, op: Callable[[], Any]) -> Any:
         while True:
             try:
-                frame = pipes[s].recv_bytes()
-            except (EOFError, OSError) as exc:
-                _recover(
-                    s, window, f"pipe closed ({type(exc).__name__})"
-                )
-                continue
-            if journal is not None and frame[0] != _FRAME_ENVELOPE:
-                journal.record_worker_frame(s, frame)
-            return frame
+                return op()
+            except _ShardDied as died:
+                recover(s, window, str(died))
 
-    def _send(s: int, frame: bytes, window: int) -> None:
-        # Journal before the write: if the write fails halfway, the
-        # respawned worker consumes this very frame during replay, so a
-        # successful recovery *is* the completed send.
-        if journal is not None:
-            journal.record_parent_frame(s, frame)
-        try:
-            pipes[s].send_bytes(frame)
-        except (BrokenPipeError, OSError):
-            _recover(s, window, "pipe broke on send")
-
-    # Freeze the parent heap across the spawns.  A forked child shares
-    # the parent's pages copy-on-write, but CPython's cyclic collector
-    # scans every tracked object — which writes to every inherited
-    # page's refcount fields and faults the whole heap into the child.
-    # Collecting then moving survivors to the permanent generation
-    # keeps the children's collector off the shared pages entirely;
-    # measured on cluster_scale this roughly quarters child minor
-    # faults and brings total fork-run CPU back to parity with serial.
-    gc.collect()
-    gc.freeze()
+    finished = False
+    transport.start()
     try:
-        for s in range(shards):
-            _spawn(s)
-        if journal is not None and any(journal.frames):
-            # Restore: march every worker through the journal before
-            # entering the live loop.
+        if restore_payload is not None:
             for s in range(shards):
                 try:
-                    _replay(s)
-                except (EOFError, OSError) as exc:
-                    _recover(
-                        s, k,
-                        f"worker died during restore replay "
-                        f"({type(exc).__name__})",
-                    )
+                    replay(s)
+                except _ShardDied as died:
+                    recover(s, k, f"worker died during restore replay: {died}")
 
-        failure: Optional[str] = None
         while k < n:
-            j = k + stride - 1
+            j = k + stride - 1  # this stride's barrier window index
+            limit = bounds[j]
             for fault in worker_faults:
-                fault(stats.barriers, procs)
+                fault(stats.barriers, transport.procs)
+            order = range(shards)
+            if inline_order is not None:
+                order = list(inline_order(j, list(order)))
+                if sorted(order) != list(range(shards)):
+                    raise ConfigError(
+                        f"inline_order returned {order}, not a permutation"
+                    )
             batches: List[List[Message]] = [[] for _ in range(shards)]
             earliest_in = [INFINITY] * shards
             covered = [False] * shards
             horizon = INFINITY
-            for s in range(shards):
-                frame = _recv(s, j)
-                if frame[0] == _FRAME_ENVELOPE:
-                    # Worker failed before this barrier and sent its
+            for s in order:
+                frame, report = retried(
+                    s, j, lambda: transport.outbox(s, limit)
+                )
+                if report is None:
+                    # The worker failed before this barrier and sent its
                     # envelope early — a deterministic model error that
                     # a respawn would only reproduce, so it stays
                     # terminal even with recovery armed.
-                    err = pickle.loads(frame[1:]).get(
-                        "error", "unknown worker error"
-                    )
-                    failure = f"shard {s}: {err}"
-                    break
-                reported, covers, outbox = _unpack_barrier(frame)
+                    raise ShardSyncError(f"shard {s}: {_envelope_error(frame)}")
+                if journal is not None:
+                    journal.record_worker_frame(s, frame)
+                reported, covers, outbox = report
                 covered[s] = covers
                 if reported < horizon:
                     horizon = reported
@@ -1072,24 +1051,32 @@ def _run_forked(
                     stats.messages_exchanged += 1
                     if msg.deliver_at < earliest_in[dest]:
                         earliest_in[dest] = msg.deliver_at
-            if failure is not None:
-                break
-            # Same fold as the inline loop: a routed delivery caps the
-            # horizon only on shards whose bound can't cover deliveries.
+            # A delivery may trigger a send at its own instant — but only
+            # on a shard whose bound doesn't already speak for deliveries.
             for s in range(shards):
                 if not covered[s] and earliest_in[s] < horizon:
                     horizon = earliest_in[s]
             k = j + 1
             if coalesce and k < n:
-                stride = coalesce_stride(
-                    bounds[j], horizon, lookahead_ns, n - k
-                )
+                stride = coalesce_stride(limit, horizon, lookahead_ns, n - k)
                 if stride > stats.max_stride:
                     stats.max_stride = stride
             else:
                 stride = 1
+            # Hand over after every shard reported: a batch's content is
+            # then independent of the execution order above.
             for s in range(shards):
-                _send(s, _pack_barrier(stride, False, batches[s]), j)
+                frame = _pack_barrier(stride, False, batches[s])
+                # Journal before the hand-over: if a pipe write fails
+                # halfway, the respawned worker consumes this very frame
+                # during replay, so a successful recovery *is* the
+                # completed send.
+                if journal is not None:
+                    journal.record_parent_frame(s, frame)
+                try:
+                    transport.deliver(s, frame)
+                except _ShardDied as died:
+                    recover(s, j, str(died))
             stats.barriers += 1
             if (
                 checkpoint is not None
@@ -1106,32 +1093,12 @@ def _run_forked(
                     ),
                 )
 
-        if failure is not None:
-            raise ShardSyncError(failure)
-
-        envelopes = []
-        for s in range(shards):
-            frame = _recv(s, n)
-            if frame[0] != _FRAME_ENVELOPE:  # pragma: no cover - defensive
-                raise ShardSyncError(
-                    f"shard {s} sent a barrier frame where its final "
-                    "envelope was due (protocol desync)"
-                )
-            envelopes.append(pickle.loads(frame[1:]))
+        envelopes = [
+            retried(s, n, lambda: transport.finish(s)) for s in range(shards)
+        ]
+        finished = True
     finally:
-        gc.unfreeze()
-        for conn in pipes:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        for proc in procs:
-            if proc is not None:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join()
+        transport.close(finished)
 
     errors = [
         f"shard {s}: {env['error']}"
@@ -1144,15 +1111,15 @@ def _run_forked(
     # ambient monitor so a sharded cell taints exactly like a serial
     # one would.
     ambient = _invariants.current()
-    for s, env_ in enumerate(envelopes):
-        if env_.get("tainted") and ambient.enabled:
-            for v in env_.get("violations", ()):
+    for s, env in enumerate(envelopes):
+        if env.get("tainted") and ambient.enabled:
+            for v in env.get("violations", ()):
                 ambient.violation(
                     v.get("guard", "shard.worker"),
                     int(v.get("ts_ns", 0)),
                     f"[shard {s}] {v.get('message', '')}",
                     **v.get("details", {}),
                 )
-    stats.events_per_shard = [env_["events"] for env_ in envelopes]
-    stats.sent_per_shard = [env_["sent"] for env_ in envelopes]
-    return merge([env_["result"] for env_ in envelopes]), stats
+    stats.events_per_shard = [env["events"] for env in envelopes]
+    stats.sent_per_shard = [env["sent"] for env in envelopes]
+    return merge([env["result"] for env in envelopes]), stats

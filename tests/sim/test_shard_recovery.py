@@ -18,7 +18,15 @@ import pytest
 from repro.errors import CheckpointError, ConfigError, ShardSyncError
 from repro.experiments.cluster import cluster_spec, run_cluster, scaled_spec
 from repro.faults import WorkerKill, parse_worker_kill
-from repro.sim.checkpoint import CheckpointConfig, RecoveryPolicy, list_checkpoints
+from repro.sim import Environment
+from repro.sim.checkpoint import (
+    CheckpointConfig,
+    RecoveryPolicy,
+    list_checkpoints,
+    load_checkpoint,
+    save_checkpoint,
+)
+from repro.sim.shard import Mailbox, run_sharded
 from repro.supervise.manifest import result_digest
 
 SMOKE = scaled_spec(cluster_spec("cluster_smoke"), 0.02)
@@ -105,18 +113,23 @@ class TestDiskRestore:
         assert _canonical(first.metrics()) == _canonical(serial_reference)
         assert _canonical(resumed.metrics()) == _canonical(serial_reference)
 
-    def test_inline_restores_a_fork_written_checkpoint(
-        self, serial_reference, tmp_path
+    @pytest.mark.parametrize(
+        "writer,reader",
+        [("fork", "inline"), ("inline", "fork"),
+         ("fork", "fork"), ("inline", "inline")],
+    )
+    def test_checkpoint_restores_on_either_backend(
+        self, serial_reference, tmp_path, writer, reader
     ):
         """The journal records frame bytes, not process state — a
-        checkpoint written by fork workers restores inline."""
+        checkpoint written by either backend restores on either."""
         ckpt = tmp_path / "ckpt"
         run_cluster(
-            SMOKE, seed=7, shards=2, backend="fork",
+            SMOKE, seed=7, shards=2, backend=writer,
             checkpoint_dir=ckpt, checkpoint_every=4,
         )
         resumed = run_cluster(
-            SMOKE, seed=7, shards=2, backend="inline",
+            SMOKE, seed=7, shards=2, backend=reader,
             checkpoint_dir=ckpt, checkpoint_every=4, restore=True,
         )
         assert _canonical(resumed.metrics()) == _canonical(serial_reference)
@@ -144,6 +157,117 @@ class TestDiskRestore:
             checkpoint_every=4, restore=True,
         )
         assert _canonical(result.metrics()) == _canonical(serial_reference)
+
+
+LOOKAHEAD = 100
+
+
+class PingWorld:
+    """Toy world: each ``(at, src, dst, extra)`` row mails ``dst`` once,
+    at ``at``, with ``LOOKAHEAD + extra`` of latency."""
+
+    def __init__(self, domains, schedule):
+        self.env = Environment()
+        self.mailbox = Mailbox(self.env, LOOKAHEAD)
+        self.log = []
+        for d in domains:
+            self.mailbox.register(d, self._on_msg)
+        for at, src, dst, extra in schedule:
+            if src in domains:
+                self.env.process(self._send(at, src, dst, extra))
+
+    def _send(self, at, src, dst, extra):
+        yield self.env.timeout(at)
+        self.mailbox.send(src, dst, LOOKAHEAD + extra, "ping", (at,))
+
+    def _on_msg(self, msg):
+        self.log.append((self.env.now, msg.origin, msg.payload))
+
+    def finalize(self):
+        return self.log
+
+
+#: Two pings from domain 0 to domain 1 (shard 0 to shard 1).  A build
+#: that changes only the second ping's latency regenerates the first two
+#: exchanges' frames, horizons included, unchanged: its replay diverges
+#: at exchange 2, where that ping leaves shard 0.
+PINGS = [(0, 0, 1, 0), (350, 0, 1, 0)]
+PINGS_SLOWER = [(0, 0, 1, 0), (350, 0, 1, 40)]
+
+
+def _run_pings(schedule, backend, ckpt, restore=False, **kwargs):
+    return run_sharded(
+        lambda doms: PingWorld(range(2) if doms is None else doms, schedule),
+        n_domains=2,
+        shards=2,
+        until_ns=1_500,
+        lookahead_ns=LOOKAHEAD,
+        merge=lambda parts: sorted(e for part in parts for e in part),
+        backend=backend,
+        checkpoint=CheckpointConfig(dir=ckpt, every=1),
+        restore=restore,
+        world_key="pings",
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("backend", ["inline", "fork"])
+class TestReplayDivergence:
+    def test_restore_with_a_different_build_names_shard_and_exchange(
+        self, tmp_path, backend
+    ):
+        """A rebuild whose regenerated outbox frame differs from the
+        journaled digest is a broken determinism contract, not a
+        recoverable fault."""
+        ckpt = tmp_path / "ckpt"
+        _run_pings(PINGS, backend, ckpt)
+        payload = load_checkpoint(list_checkpoints(ckpt)[-1])
+        assert len(payload["journal_frames"][0]) >= 2
+        with pytest.raises(
+            ShardSyncError, match="shard 0 diverged during replay at exchange 2"
+        ):
+            _run_pings(PINGS_SLOWER, backend, ckpt, restore=True)
+
+    @pytest.mark.parametrize("field", ["k", "stride"])
+    def test_loop_state_that_disagrees_with_its_journal_is_refused(
+        self, tmp_path, backend, field
+    ):
+        ckpt = tmp_path / "ckpt"
+        _run_pings(PINGS, backend, ckpt)
+        payload = load_checkpoint(list_checkpoints(ckpt)[-1])
+        payload[field] -= 1 if field == "k" else -1
+        tampered = CheckpointConfig(dir=tmp_path / "tampered")
+        save_checkpoint(tampered, payload)
+        with pytest.raises(CheckpointError, match="does not match its own journal"):
+            _run_pings(PINGS, backend, tampered.dir, restore=True)
+
+
+class TestInlineRecovery:
+    def test_a_shard_lost_mid_run_is_respawned_and_replayed(
+        self, monkeypatch, tmp_path
+    ):
+        """Recovery lives in the shared barrier loop, not in the worker
+        processes: an inline transport that loses a shard once heals
+        exactly like a killed fork worker."""
+        from repro.sim import shard
+
+        clean, _ = _run_pings(PINGS, "inline", tmp_path / "clean")
+        outbox = shard._InlineTransport.outbox
+        calls = []
+
+        def flaky(self, s, limit):
+            calls.append(s)
+            if s == 1 and calls.count(1) == 3:
+                raise shard._ShardDied("simulated loss")
+            return outbox(self, s, limit)
+
+        monkeypatch.setattr(shard._InlineTransport, "outbox", flaky)
+        healed, stats = _run_pings(
+            PINGS, "inline", tmp_path / "healed",
+            recovery=RecoveryPolicy(backoff_base_s=0.0),
+        )
+        assert stats.respawns == 1
+        assert healed == clean
 
 
 class TestConfigSurface:
