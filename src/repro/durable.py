@@ -1,19 +1,28 @@
-"""Crash-safe file writes.
+"""Crash-safe file writes and worker lifetimes.
 
 :func:`atomic_write` leaves either the old file or the complete new one
 under the final name, never a torn mix: the bytes go to a temp file in
 the target directory (same filesystem, so the rename is atomic), are
 fsynced, and the temp file is ``os.replace``d onto the final name.
+
+:func:`die_with_parent` ties a forked worker's life to its parent's, so
+a killed run leaves no orphan behind.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
+import signal
 import tempfile
 from pathlib import Path
 from typing import Union
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "die_with_parent"]
+
+#: ``prctl`` option from ``<linux/prctl.h>``.
+_PR_SET_PDEATHSIG = 1
 
 
 def atomic_write(path: Union[str, Path], data: bytes) -> None:
@@ -40,3 +49,26 @@ def atomic_write(path: Union[str, Path], data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def die_with_parent() -> None:
+    """Have the kernel SIGKILL this forked worker when its parent dies.
+
+    A worker blocked on a pipe cannot see its parent die: its siblings
+    hold inherited copies of the parent's pipe ends, so no EOF arrives.
+    Linux's ``PR_SET_PDEATHSIG`` kills the worker instead, idle or
+    mid-cell, so no orphan keeps writing heartbeats or checkpoints, and
+    its own workers follow it.  A worker whose parent died before the
+    request took hold exits at once.  A no-op where ``prctl`` does not
+    exist.
+    """
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):  # pragma: no cover - not Linux
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    parent = multiprocessing.parent_process()
+    if parent is not None and os.getppid() != parent.pid:
+        os._exit(1)

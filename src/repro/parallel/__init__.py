@@ -1,12 +1,14 @@
-"""Parallel experiment engine: process-pool fan-out + result caching.
+"""The sweep scheduler: worker-process fan-out + result caching.
 
 ``repro.parallel`` turns the batch layers of the harness —
 replications, comparisons, chaos campaigns, ablation/figure suites —
-from serial for-loops into deterministic process-pool sweeps with a
-content-addressed on-disk result cache.  The contract: **parallel
-equals serial, bit for bit** — results merge in submission order and
-every cell is a self-contained seeded simulation, so the pool width
-(and the cache) can only change wall-clock time, never a float.
+from serial for-loops into deterministic sweeps over long-lived
+worker processes, with a content-addressed on-disk result cache.  The
+contract: **parallel equals serial, bit for bit** — results merge in
+submission order and every cell is a self-contained seeded
+simulation, so the worker count (and the cache) can only change
+wall-clock time, never a float.  The same scheduler loop runs the
+supervised sweeps of :mod:`repro.supervise`.
 
 See ``docs/architecture.md`` §12 for the determinism contract and
 cache-key design, and ``python -m repro sweep --help`` for the CLI.

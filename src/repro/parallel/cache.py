@@ -24,9 +24,10 @@ Design points:
   ``repr`` (shortest round-trip form) and parses ``Infinity``/``NaN``
   constants, so cached metric values compare equal to freshly computed
   ones — the serial-equals-parallel contract survives the cache.
-* **Atomic, concurrent-safe writes.**  Payloads are written to a
-  temp file and ``os.replace``d into place, so a parallel sweep (or
-  two sweeps sharing a cache directory) never observes a torn file;
+* **Atomic, concurrent-safe writes.**  Payloads go through
+  :func:`repro.durable.atomic_write` (fsynced temp file,
+  ``os.replace``d into place), so a parallel sweep (or two sweeps
+  sharing a cache directory) never observes a torn file;
   a corrupt, truncated or schema-mismatched entry is treated as a
   miss, **deleted** (so it cannot re-trip every future sweep) and
   reported through :attr:`ResultCache.on_corruption` — never a crash,
@@ -45,6 +46,7 @@ import pathlib
 from typing import Any, Callable, Dict, Optional
 
 from repro._version import __version__
+from repro.durable import atomic_write
 from repro.errors import CacheCorruption, Uncacheable
 
 #: Payload schema identifier; bump when the stored document shape
@@ -302,8 +304,6 @@ class ResultCache:
 
     def store(self, key: str, metrics: Dict[str, Any], meta: Optional[Dict[str, Any]] = None) -> None:
         """Atomically persist ``metrics`` under ``key``."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "schema": CELL_SCHEMA,
             "version": self.version,
@@ -311,9 +311,8 @@ class ResultCache:
         }
         if meta:
             doc["meta"] = meta
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        data = json.dumps(doc, sort_keys=True) + "\n"
+        atomic_write(self._path(key), data.encode("utf-8"))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

@@ -1,22 +1,33 @@
-"""Deterministic process-pool experiment engine (``repro sweep``).
+"""The sweep scheduler: deterministic cell fan-out (``repro sweep``).
 
 Everything above a single scenario run — replications, comparisons,
 chaos campaigns, ablation suites, figure sets — is a batch of
-*independent* seeded simulations.  This engine fans those cells out to
-``jobs`` worker processes and merges results **in submission order**,
-so serial and parallel execution produce byte-identical aggregates:
+*independent* seeded simulations.  One scheduler loop runs those cells
+for :func:`run_sweep` and for the supervised runtime
+(:mod:`repro.supervise`) and merges results **in submission order**, so
+serial, pooled and supervised execution produce byte-identical
+aggregates:
 
 * a cell is a picklable :class:`SweepJob` — kind + name + seed + plain
-  kwargs; the worker entrypoint rebuilds the scenario from kwargs, so
-  no ``Environment``/process/generator objects ever cross the pipe;
+  kwargs; the worker rebuilds the scenario from kwargs, so no
+  ``Environment``/process/generator objects ever cross the pipe;
 * each cell runs in a fresh deterministic simulation seeded only by
   its job spec, so *where* it runs (parent, worker, yesterday's
   worker via the cache) cannot change its floats;
 * results are merged by submission index, never completion order;
-* a worker exception is captured per cell (traceback text in
-  :attr:`CellResult.error`); a hard worker crash (killed process)
-  surfaces as per-cell errors for the affected cells instead of a
-  hung or opaquely broken pool.
+* the loop forks up to ``workers`` long-lived workers that run cells
+  one after another over a pipe.  A worker is replaced only when the
+  cell it holds dies or a watchdog kills it, so a crash costs that one
+  cell (a ``worker process died`` error) and no other;
+* the loop blocks in :func:`multiprocessing.connection.wait` on the
+  worker pipes and sentinels, with the nearest watchdog or backoff
+  deadline as its timeout.
+
+:func:`run_sweep` is that loop with no ledger, no retries and no
+watchdog.  :func:`repro.supervise.supervised_sweep` adds the run
+manifest and the retries and watchdogs of a :class:`SupervisePolicy`.
+One worker with no watchdog runs its cells in this process, through
+the same entrypoint.
 
 The optional content-addressed :class:`~repro.parallel.cache.ResultCache`
 short-circuits cells whose (version, kind, name, kwargs, seed) address
@@ -31,17 +42,20 @@ orchestration is visible on the same bus as everything else.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.durable import die_with_parent
 from repro.errors import ConfigError, ReproError
 from repro.parallel.cache import ResultCache
 from repro.sim import invariants as _invariants
+from repro.telemetry import bus as _bus
 from repro.telemetry.bus import SWEEP
 
 #: Registered cell kinds: kind -> runner(job) returning either a
@@ -189,9 +203,9 @@ class SweepResult:
 def _execute_job(job: SweepJob) -> Dict[str, Any]:
     """Run one cell; returns a picklable result envelope.
 
-    This is the single execution path for serial *and* parallel runs —
-    the serial engine calls it in-process, the pool imports it by
-    reference — which is what makes "parallel equals serial" a
+    This is the single execution path for serial, pooled and
+    supervised runs — the scheduler calls it in-process or in a
+    forked worker — which is what makes "parallel equals serial" a
     structural property rather than a testing aspiration.
     """
     wall0 = time.perf_counter()
@@ -341,7 +355,198 @@ register_job_kind("cluster", _run_cluster_cell)
 register_job_kind("service", _run_service_cell)
 
 
-# -- the engine --------------------------------------------------------------
+# -- the scheduler -----------------------------------------------------------
+
+#: Environment variable exposing the attempt number (1-based) to the
+#: cell runner.  Production cells must ignore it (results must not
+#: depend on which attempt produced them); test job kinds read it to
+#: inject attempt-correlated failures.
+ATTEMPT_ENV = "REPRO_SWEEP_ATTEMPT"
+
+
+@dataclass(frozen=True)
+class SupervisePolicy:
+    """Knobs of the supervision layer.
+
+    ``timeout_s``/``stall_s`` of 0 disable that watchdog; with both
+    disabled and one worker, cells run in-process.  ``retries`` is the
+    number of *re*-tries: a cell gets ``retries + 1`` attempts before
+    quarantine.
+    """
+
+    timeout_s: float = 0.0
+    stall_s: float = 0.0
+    retries: int = 1
+    #: First-retry backoff; doubles per attempt, jittered in
+    #: [0.5x, 1.5x] by a PRNG seeded from (backoff_seed, cell, attempt).
+    backoff_base_s: float = 0.1
+    backoff_seed: int = 0
+    #: Sim events between heartbeat-file writes in the worker.
+    heartbeat_every: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout_s < 0 or self.stall_s < 0:
+            raise ConfigError("timeout_s and stall_s must be >= 0")
+        if self.heartbeat_every < 1:
+            raise ConfigError("heartbeat_every must be >= 1")
+
+    @property
+    def max_attempts(self) -> int:
+        return self.retries + 1
+
+    @property
+    def watchdog(self) -> bool:
+        """Whether any feature requiring worker processes is on."""
+        return self.timeout_s > 0 or self.stall_s > 0
+
+    def backoff_s(self, job: SweepJob, attempt: int) -> float:
+        """Deterministic jittered exponential backoff before retrying
+        ``job`` after its ``attempt``-th failure."""
+        rng = random.Random(
+            f"{self.backoff_seed}:{job.kind}:{job.name}:{job.seed}:{attempt}"
+        )
+        return self.backoff_base_s * (2.0 ** (attempt - 1)) * (0.5 + rng.random())
+
+
+#: What :func:`run_sweep` runs under: one attempt, no watchdog.
+_UNSUPERVISED = SupervisePolicy(retries=0)
+
+
+class HeartbeatBus:
+    """A telemetry-bus-shaped progress reporter for watched workers.
+
+    Installed process-globally in the worker for the length of one
+    cell, so the cell's ``Environment`` picks it up like any other bus.
+    Every emit is a no-op except :meth:`kernel_tick`, which writes the
+    kernel's event counter to the heartbeat file every ``every`` events
+    — the scheduler reads the file and treats a counter that stops
+    advancing as a wedged simulation.
+    """
+
+    __slots__ = ("path", "every")
+
+    enabled = True
+    kernel_dispatch = False
+    kernel_sample_every = 0
+
+    def __init__(self, path, every: int) -> None:
+        self.path = str(path)
+        self.every = int(every)
+
+    def kernel_tick(
+        self, ts_ns: int, events_processed: int, queue_depth: int, event: object
+    ) -> None:
+        if events_processed % self.every == 0:
+            try:
+                with open(self.path, "w", encoding="utf-8") as fh:
+                    fh.write(f"{events_processed}\n")
+            except OSError:  # heartbeat loss must never kill the cell
+                pass
+
+    def kernel_resume(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def span(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def instant(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    event = instant
+
+    def counter(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        return f"<HeartbeatBus {self.path!r} every={self.every}>"
+
+
+def _read_heartbeat(path: str) -> Optional[int]:
+    """The worker's last-reported event count, or None."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return int(fh.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _run_cell(
+    job: SweepJob,
+    attempt: int,
+    hb_path: Optional[str],
+    invariant_mode: str,
+    heartbeat_every: int,
+) -> Dict[str, Any]:
+    """One attempt at ``job`` with its attempt number, heartbeat bus and
+    invariant mode in force; all three are restored afterwards."""
+    previous_attempt = os.environ.get(ATTEMPT_ENV)
+    previous_bus = _bus.current()
+    os.environ[ATTEMPT_ENV] = str(attempt)
+    if hb_path is not None:
+        _bus.install(HeartbeatBus(hb_path, heartbeat_every))
+    try:
+        with _invariants.activate(invariant_mode):
+            # Looked up at call time, so a wrapped entry point (a
+            # profiler) runs in the worker.
+            return _execute_job(job)
+    finally:
+        _bus.install(previous_bus)
+        if previous_attempt is None:
+            os.environ.pop(ATTEMPT_ENV, None)
+        else:
+            os.environ[ATTEMPT_ENV] = previous_attempt
+
+
+def _worker(conn, invariant_mode: str, heartbeat_every: int) -> None:
+    """Entrypoint of one long-lived worker: run the cells the scheduler
+    sends, one at a time, until it sends ``None``."""
+    die_with_parent()
+    while True:
+        try:
+            cell = conn.recv()
+        except EOFError:
+            return
+        if cell is None:
+            return
+        envelope = _run_cell(*cell, invariant_mode, heartbeat_every)
+        try:
+            conn.send(envelope)
+        except Exception as exc:  # unpicklable payload: degrade to an error
+            conn.send(
+                {
+                    "error": f"cell result is not picklable: {exc!r}",
+                    "pid": os.getpid(),
+                }
+            )
+
+
+@dataclass
+class _Pending:
+    """One not-yet-concluded cell in the scheduler's queue."""
+
+    idx: int
+    job: SweepJob
+    key: Optional[str]
+    attempt: int = 1
+    ready_at: float = 0.0  # monotonic time before which it may not start
+
+
+@dataclass
+class _Worker:
+    """One long-lived worker process and the cell it holds, if any."""
+
+    proc: Any
+    conn: Any
+    cell: Optional[_Pending] = None
+    started: float = 0.0
+    hb_path: Optional[str] = None
+    #: Last heartbeat count read, and when the stall watchdog next
+    #: checks that it moved.
+    events: Optional[int] = None
+    stall_at: float = 0.0
+
 
 def _as_cache(cache) -> Optional[ResultCache]:
     if cache is None or isinstance(cache, ResultCache):
@@ -360,6 +565,332 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _schedule(
+    jobs: Sequence[SweepJob],
+    *,
+    workers: int,
+    policy: SupervisePolicy,
+    invariant_mode: str,
+    cache=None,
+    telemetry=None,
+    logger=None,
+    ledger=None,
+    settled: Optional[Mapping[int, CellResult]] = None,
+    first_attempt: Optional[Mapping[int, int]] = None,
+    heartbeat_dir=None,
+) -> Tuple[SweepResult, int]:
+    """Run every cell not already ``settled``; merge in submission order.
+
+    The one loop behind :func:`run_sweep` and
+    :func:`repro.supervise.supervised_sweep`.  ``ledger`` (a
+    :class:`~repro.supervise.manifest.RunManifest`) is told every state
+    transition; ``first_attempt`` numbers a resumed cell's next
+    attempt; stall heartbeats go to ``heartbeat_dir``.  Returns the
+    result and the number of failed attempts that were retried.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    settled = settled or {}
+    first_attempt = first_attempt or {}
+    store = _as_cache(cache)
+    report = SweepReport(jobs=len(jobs))
+    cells: List[Optional[CellResult]] = [None] * len(jobs)
+    retried = 0
+    wall0 = time.perf_counter()
+
+    def _ts() -> int:
+        return int((time.perf_counter() - wall0) * 1e9)
+
+    def _instant(name: str, **args: Any) -> None:
+        if telemetry is not None and telemetry.enabled:
+            telemetry.instant(SWEEP, name, _ts(), **args)
+
+    if store is not None and store.on_corruption is None:
+        def _report_corruption(key: str, reason: str) -> None:
+            _instant("cache_corrupt", lane="cache", key=key, reason=reason)
+            if logger is not None:
+                logger.warning(
+                    f"dropped corrupt cache entry {key[:12]}...: {reason}"
+                )
+
+        store.on_corruption = _report_corruption
+
+    def _settle(idx: int, cell: CellResult) -> None:
+        cells[idx] = cell
+        if cell.cached:
+            report.cached += 1
+        else:
+            report.executed += 1
+        if cell.error is not None:
+            report.errors += 1
+        if cell.tainted:
+            report.tainted += 1
+        report.cpu_s += cell.process_s
+        if cell.pid:
+            report.worker_cells[cell.pid] = report.worker_cells.get(cell.pid, 0) + 1
+            report.worker_cpu_s[cell.pid] = (
+                report.worker_cpu_s.get(cell.pid, 0.0) + cell.process_s
+            )
+        if telemetry is not None and telemetry.enabled:
+            telemetry.event(
+                SWEEP,
+                "cell",
+                _ts(),
+                lane=f"worker-{cell.pid}" if cell.pid else "cache",
+                job=cell.job.label,
+                cached=cell.cached,
+                ok=cell.ok,
+                wall_s=cell.wall_s,
+                attempts=cell.attempts,
+            )
+        if logger is not None:
+            status = "error" if cell.error else "ok"
+            logger.debug(
+                f"sweep cell {cell.job.label}: {status} "
+                f"({cell.wall_s:.2f}s wall, pid {cell.pid})"
+            )
+
+    # 1. settled cells, then cache hits; queue the rest.
+    queue: List[_Pending] = []
+    for idx, job in enumerate(jobs):
+        if idx in settled:
+            _settle(idx, settled[idx])
+            continue
+        key = (
+            store.key(job.kind, job.name, job.seed, job.spec)
+            if store is not None
+            else None
+        )
+        hit = store.load(key) if key is not None else None
+        if hit is not None:
+            if ledger is not None:
+                ledger.record_done(idx, 0, hit)
+            _settle(idx, CellResult(job=job, metrics=hit, cached=True))
+            continue
+        queue.append(_Pending(idx, job, key, first_attempt.get(idx, 1)))
+
+    # 2. conclude one attempt: a settled cell or a requeued retry.
+    def _conclude(p: _Pending, envelope: Dict[str, Any]) -> None:
+        nonlocal retried
+        ran = dict(
+            job=p.job,
+            attempts=p.attempt,
+            pid=envelope.get("pid", 0),
+            wall_s=envelope.get("wall_s", 0.0),
+            process_s=envelope.get("process_s", 0.0),
+        )
+        error = envelope.get("error")
+        if error is None:
+            metrics = envelope.get("metrics")
+            tainted = bool(envelope.get("tainted"))
+            violations = tuple(envelope.get("violations", ()))
+            if ledger is not None:
+                ledger.record_done(
+                    p.idx, p.attempt, metrics,
+                    tainted=tainted, violations=list(violations),
+                )
+            if not tainted and p.key is not None and metrics is not None:
+                # Tainted metrics never enter the cache: a warm hit
+                # carries no violation record, so caching them would
+                # launder the taint into a future "clean" sweep.
+                store.store(p.key, metrics, meta={"job": p.job.label})
+            _settle(p.idx, CellResult(
+                metrics=metrics,
+                payload=envelope.get("payload"),
+                tainted=tainted,
+                violations=violations,
+                **ran,
+            ))
+            return
+        code = envelope.get("error_code", "error")
+        final = p.attempt >= policy.max_attempts
+        if ledger is not None:
+            ledger.record_failure(
+                p.idx, p.attempt, error, error_code=code, final=final
+            )
+        if final:
+            if logger is not None:
+                logger.warning(
+                    f"quarantined {p.job.label} after {p.attempt} attempt(s): "
+                    f"{error.splitlines()[0]}"
+                )
+            _settle(p.idx, CellResult(error=error, error_code=code, **ran))
+            return
+        retried += 1
+        delay = policy.backoff_s(p.job, p.attempt)
+        _instant(
+            "cell_retry",
+            lane="scheduler",
+            job=p.job.label,
+            attempt=p.attempt,
+            backoff_s=delay,
+            error_code=code,
+        )
+        if logger is not None:
+            logger.warning(
+                f"retrying {p.job.label} (attempt {p.attempt} failed: "
+                f"{error.splitlines()[0]}; backoff {delay:.2f}s)"
+            )
+        queue.append(
+            _Pending(p.idx, p.job, p.key, p.attempt + 1, time.monotonic() + delay)
+        )
+
+    # 3. run the queue: in this process when one worker and no watchdog
+    #    suffice, on long-lived forked workers otherwise.
+    width = min(workers, max(len(queue), 1))
+    report.workers = width
+    inprocess = width == 1 and not policy.watchdog
+    if queue and policy.stall_s > 0:
+        heartbeat_dir.mkdir(parents=True, exist_ok=True)
+    ctx = _mp_context()
+    pool: List[_Worker] = []
+
+    def _launch(p: _Pending) -> bool:
+        """Start ``p`` on an idle or new worker; False if none is free."""
+        if inprocess:
+            if ledger is not None:
+                ledger.record_running(p.idx, p.attempt, pid=os.getpid())
+            _conclude(p, _run_cell(
+                p.job, p.attempt, None, invariant_mode, policy.heartbeat_every
+            ))
+            return True
+        w = next((w for w in pool if w.cell is None), None)
+        if w is None:
+            if len(pool) >= width:
+                return False
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker,
+                args=(child_conn, invariant_mode, policy.heartbeat_every),
+                name="repro-sweep-worker",
+            )
+            proc.start()
+            child_conn.close()
+            w = _Worker(proc, conn)
+            pool.append(w)
+        w.hb_path = None
+        if policy.stall_s > 0:
+            w.hb_path = str(heartbeat_dir / f"cell-{p.idx}.hb")
+            with contextlib.suppress(OSError):
+                os.unlink(w.hb_path)
+        try:
+            w.conn.send((p.job, p.attempt, w.hb_path))
+        except OSError:
+            pass  # the worker died idle: the wait reads that as this cell's death
+        except Exception as exc:  # an unpicklable job cannot leave this process
+            _conclude(p, {"error": f"{type(exc).__name__}: {exc}"})
+            return True
+        if ledger is not None:
+            ledger.record_running(p.idx, p.attempt, pid=w.proc.pid or 0)
+        w.cell, w.events = p, None
+        w.started = time.monotonic()
+        w.stall_at = w.started + policy.stall_s
+        return True
+
+    def _retire(w: _Worker) -> None:
+        pool.remove(w)
+        w.proc.kill()  # a no-op on a worker that already exited
+        w.proc.join()
+        w.conn.close()
+
+    try:
+        while True:
+            now = time.monotonic()
+            for p in [p for p in queue if p.ready_at <= now]:
+                if not _launch(p):
+                    break
+                queue.remove(p)
+            busy = [w for w in pool if w.cell is not None]
+            if not busy and not queue:
+                break
+            deadlines = []
+            for w in busy:
+                if policy.timeout_s > 0:
+                    deadlines.append(w.started + policy.timeout_s)
+                if policy.stall_s > 0:
+                    deadlines.append(w.stall_at)
+            if len(busy) < width:
+                deadlines.extend(p.ready_at for p in queue)
+            timeout = (
+                max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+            )
+            ready = set(wait(
+                [w.conn for w in busy] + [w.proc.sentinel for w in pool],
+                timeout,
+            ))
+            now = time.monotonic()
+            for w in list(pool):
+                p = w.cell
+                if p is None:
+                    if w.proc.sentinel in ready:  # died idle: costs no cell
+                        _retire(w)
+                    continue
+                if w.conn in ready or w.proc.sentinel in ready:
+                    try:
+                        envelope = w.conn.recv()
+                        w.cell = None
+                    except (EOFError, OSError):
+                        w.proc.join(5)
+                        envelope = {
+                            "error": (
+                                "worker process died while running this "
+                                f"cell (exit code {w.proc.exitcode})"
+                            ),
+                            "pid": w.proc.pid or 0,
+                        }
+                        _retire(w)
+                    _conclude(p, envelope)
+                    continue
+                if policy.timeout_s > 0 and now >= w.started + policy.timeout_s:
+                    kind = "timeout"
+                    what = f"exceeded {policy.timeout_s:g}s wall-clock budget (killed)"
+                elif policy.stall_s > 0 and now >= w.stall_at:
+                    events = _read_heartbeat(w.hb_path)
+                    if events != w.events:  # progressed within the window
+                        w.events, w.stall_at = events, now + policy.stall_s
+                        continue
+                    kind = "stall"
+                    what = f"no sim-event progress for {policy.stall_s:g}s (stalled; killed)"
+                else:
+                    continue
+                _retire(w)
+                _instant(
+                    "cell_timeout",
+                    lane="scheduler",
+                    job=p.job.label,
+                    kind=kind,
+                    attempt=p.attempt,
+                )
+                _conclude(p, {
+                    "error": f"CellTimeout: {what}",
+                    "error_code": "cell-timeout",
+                    "pid": w.proc.pid or 0,
+                })
+    finally:
+        # Idle workers exit on None; one still holding a cell was
+        # interrupted mid-cell and is killed.  Leave no orphans.
+        for w in pool:
+            if w.cell is None:
+                with contextlib.suppress(OSError):
+                    w.conn.send(None)
+        for w in list(pool):
+            if w.cell is None:
+                w.proc.join(5)
+            _retire(w)
+
+    report.wall_s = time.perf_counter() - wall0
+    if telemetry is not None and telemetry.enabled:
+        ts = int(report.wall_s * 1e9)
+        telemetry.counter(SWEEP, "cells", ts, float(report.jobs))
+        telemetry.counter(SWEEP, "cache_hits", ts, float(report.cached))
+        telemetry.counter(SWEEP, "errors", ts, float(report.errors))
+        if report.tainted:
+            telemetry.counter(SWEEP, "tainted", ts, float(report.tainted))
+        if retried:
+            telemetry.counter(SWEEP, "retried_attempts", ts, float(retried))
+    return SweepResult(cells=list(cells), report=report), retried  # type: ignore[arg-type]
+
+
 def run_sweep(
     jobs: Sequence[SweepJob],
     *,
@@ -370,156 +901,25 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell; merge results in submission order.
 
-    ``workers`` is the process-pool width (1 = in-process serial
-    execution through the very same cell entrypoint).  ``cache`` is a
-    :class:`ResultCache`, a directory path, or ``None``; cached cells
-    are served without touching the pool.  ``telemetry`` is an
-    optional :class:`~repro.telemetry.TelemetryBus` the sweep reports
+    ``workers`` is the number of worker processes (1 = in-process
+    serial execution through the very same cell entrypoint).  A cell
+    whose worker dies gets a ``worker process died`` error; every
+    other cell still runs.  ``cache`` is a :class:`ResultCache`, a
+    directory path, or ``None``; cached cells are served without
+    starting a worker.  ``telemetry`` is an optional
+    :class:`~repro.telemetry.TelemetryBus` the sweep reports
     orchestration records to (timestamps are wall-clock nanoseconds
     since sweep start — sweeps happen in real time, not sim time).
     """
-    jobs = list(jobs)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    store = _as_cache(cache)
-    report = SweepReport(jobs=len(jobs))
-    cells: List[Optional[CellResult]] = [None] * len(jobs)
-    wall0 = time.perf_counter()
-
-    if store is not None and store.on_corruption is None:
-        def _report_corruption(key: str, reason: str) -> None:
-            if telemetry is not None and telemetry.enabled:
-                telemetry.instant(
-                    SWEEP,
-                    "cache_corrupt",
-                    int((time.perf_counter() - wall0) * 1e9),
-                    lane="cache",
-                    key=key,
-                    reason=reason,
-                )
-            if logger is not None:
-                logger.warning(
-                    f"dropped corrupt cache entry {key[:12]}...: {reason}"
-                )
-
-        store.on_corruption = _report_corruption
-
-    def _emit(cell: CellResult) -> None:
-        if telemetry is not None and telemetry.enabled:
-            telemetry.event(
-                SWEEP,
-                "cell",
-                int((time.perf_counter() - wall0) * 1e9),
-                lane=f"worker-{cell.pid}" if cell.pid else "cache",
-                job=cell.job.label,
-                cached=cell.cached,
-                ok=cell.ok,
-                wall_s=cell.wall_s,
-            )
-
-    # 1. serve cache hits, collect pending cells.
-    pending: List[Tuple[int, SweepJob, Optional[str]]] = []
-    for idx, job in enumerate(jobs):
-        key = (
-            store.key(job.kind, job.name, job.seed, job.spec)
-            if store is not None
-            else None
-        )
-        if key is not None:
-            hit = store.load(key)
-            if hit is not None:
-                cell = CellResult(job=job, metrics=hit, cached=True)
-                cells[idx] = cell
-                report.cached += 1
-                _emit(cell)
-                continue
-        pending.append((idx, job, key))
-
-    # 2. execute the rest — one entrypoint, in-process or pooled.
-    def _finish(idx: int, job: SweepJob, key: Optional[str], envelope: Dict[str, Any]) -> None:
-        cell = CellResult(
-            job=job,
-            metrics=envelope.get("metrics"),
-            payload=envelope.get("payload"),
-            error=envelope.get("error"),
-            error_code=envelope.get(
-                "error_code", "error" if envelope.get("error") else None
-            ),
-            tainted=bool(envelope.get("tainted")),
-            violations=tuple(envelope.get("violations", ())),
-            pid=envelope.get("pid", 0),
-            wall_s=envelope.get("wall_s", 0.0),
-            process_s=envelope.get("process_s", 0.0),
-        )
-        cells[idx] = cell
-        report.executed += 1
-        if cell.tainted:
-            report.tainted += 1
-        if cell.error is not None:
-            report.errors += 1
-        elif (
-            key is not None
-            and cell.metrics is not None
-            and store is not None
-            and not cell.tainted
-        ):
-            # Tainted metrics never enter the cache: a warm hit carries
-            # no violation record, so caching them would launder the
-            # taint into a future "clean" sweep.
-            store.store(key, cell.metrics, meta={"job": cell.job.label})
-        report.cpu_s += cell.process_s
-        if cell.pid:
-            report.worker_cells[cell.pid] = report.worker_cells.get(cell.pid, 0) + 1
-            report.worker_cpu_s[cell.pid] = (
-                report.worker_cpu_s.get(cell.pid, 0.0) + cell.process_s
-            )
-        _emit(cell)
-        if logger is not None:
-            status = "error" if cell.error else "ok"
-            logger.debug(
-                f"sweep cell {cell.job.label}: {status} "
-                f"({cell.wall_s:.2f}s wall, pid {cell.pid})"
-            )
-
-    pool_width = min(workers, max(len(pending), 1))
-    report.workers = pool_width
-    if pending and pool_width == 1:
-        for idx, job, key in pending:
-            _finish(idx, job, key, _execute_job(job))
-    elif pending:
-        with ProcessPoolExecutor(
-            max_workers=pool_width, mp_context=_mp_context()
-        ) as pool:
-            futures = [
-                (idx, job, key, pool.submit(_execute_job, job))
-                for idx, job, key in pending
-            ]
-            for idx, job, key, future in futures:
-                try:
-                    envelope = future.result()
-                except BrokenProcessPool as exc:
-                    envelope = {
-                        "error": (
-                            "worker process died while this cell was in "
-                            f"flight (or queued behind the crash): {exc!r}"
-                        ),
-                        "pid": 0,
-                    }
-                except BaseException as exc:  # cancelled / unpicklable result
-                    envelope = {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "pid": 0,
-                    }
-                _finish(idx, job, key, envelope)
-
-    report.wall_s = time.perf_counter() - wall0
-    if telemetry is not None and telemetry.enabled:
-        ts = int(report.wall_s * 1e9)
-        telemetry.counter(SWEEP, "cells", ts, float(report.jobs))
-        telemetry.counter(SWEEP, "cache_hits", ts, float(report.cached))
-        telemetry.counter(SWEEP, "errors", ts, float(report.errors))
-        if report.tainted:
-            telemetry.counter(SWEEP, "tainted", ts, float(report.tainted))
+    result, _ = _schedule(
+        list(jobs),
+        workers=workers,
+        policy=_UNSUPERVISED,
+        invariant_mode=_invariants.current().mode,
+        cache=cache,
+        telemetry=telemetry,
+        logger=logger,
+    )
     if logger is not None:
-        logger.debug(report.render())
-    return SweepResult(cells=list(cells), report=report)  # type: ignore[arg-type]
+        logger.debug(result.report.render())
+    return result

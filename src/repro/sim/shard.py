@@ -108,6 +108,7 @@ from typing import (
     Tuple,
 )
 
+from repro.durable import die_with_parent
 from repro.errors import CheckpointError, ConfigError, ShardSyncError
 from repro.sim import invariants as _invariants
 from repro.sim.checkpoint import (
@@ -667,6 +668,7 @@ def _shard_worker(
     struct-packed frames with the parent, whose stride decision arrives
     piggybacked on the inbox.
     """
+    die_with_parent()
     envelope: Dict[str, Any] = {}
     ambient = _invariants.current()
     monitor = _invariants.monitor_for_mode(ambient.mode)

@@ -1,14 +1,15 @@
 """Supervised, resumable experiment runtime.
 
-Wraps the :mod:`repro.parallel` sweep engine with per-cell watchdogs
-(wall-clock timeout + sim-progress stall detection), deterministic
-seeded-backoff retries with a terminal *quarantined* state, and an
-append-only JSONL run manifest that makes any interrupted sweep
-resumable to a byte-identical report.  See
+Runs the :mod:`repro.parallel` sweep scheduler with per-cell
+watchdogs (wall-clock timeout + sim-progress stall detection),
+deterministic seeded-backoff retries with a terminal *quarantined*
+state, and an append-only JSONL run manifest that makes any
+interrupted sweep resumable to a byte-identical report.  See
 :mod:`repro.supervise.supervisor` for the runtime and
 :mod:`repro.supervise.manifest` for the ledger format.
 """
 
+from repro.parallel.engine import ATTEMPT_ENV, HeartbeatBus, SupervisePolicy
 from repro.supervise.manifest import (
     DONE,
     PENDING,
@@ -21,9 +22,6 @@ from repro.supervise.manifest import (
     result_digest,
 )
 from repro.supervise.supervisor import (
-    ATTEMPT_ENV,
-    HeartbeatBus,
-    SupervisePolicy,
     SupervisedResult,
     new_run_id,
     resume_sweep,

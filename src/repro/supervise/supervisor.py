@@ -1,20 +1,17 @@
-"""The supervised sweep runtime: watchdogs, retries, resume.
+"""The supervised sweep runtime: a ledger, retries and watchdogs.
 
-:func:`repro.parallel.run_sweep` assumes every cell terminates and the
-process running the sweep survives it.  Long campaigns on shared
-machines violate both assumptions routinely: a cell wedges on a model
-bug, an OOM killer takes a worker, the job scheduler kills the whole
-process tree at the wall-time limit.  This module wraps the same cell
-entrypoint (:func:`repro.parallel.engine._execute_job` — serial equals
-parallel equals supervised, structurally) with:
+:func:`supervised_sweep` runs the same scheduler loop as
+:func:`repro.parallel.run_sweep` (:func:`repro.parallel.engine._schedule`
+— serial equals pooled equals supervised, structurally) and adds three
+things to it:
 
-* **per-cell watchdogs** — a wall-clock budget and a *stall* detector:
-  each worker installs a :class:`HeartbeatBus` (a telemetry bus whose
-  only live method is ``kernel_tick``), which writes the simulator's
-  event counter to a per-cell heartbeat file; a cell whose counter
-  stops advancing for ``stall_s`` is wedged, not slow, and is killed.
-  Each supervised cell runs in its **own** forked process — unlike a
-  shared pool, one wedged cell can be killed without collateral;
+* **watchdogs** — a per-cell wall-clock budget and a *stall* detector:
+  the worker installs a :class:`HeartbeatBus` (a telemetry bus whose
+  only live method is ``kernel_tick``) for the cell, which writes the
+  simulator's event counter to a per-cell heartbeat file; a cell whose
+  counter does not advance for ``stall_s`` is wedged, not slow.  The
+  loop wakes at each deadline, kills that cell's worker and replaces
+  it, so no other cell is touched;
 * **deterministic retries** — a failed/killed attempt is retried up to
   ``retries`` more times with seeded exponential backoff (the delay is
   a pure function of ``(backoff_seed, cell, attempt)``); a cell that
@@ -38,7 +35,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-import random
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -46,12 +42,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.parallel.engine import (
     CellResult,
+    SupervisePolicy,
     SweepJob,
     SweepReport,
     SweepResult,
-    _as_cache,
-    _execute_job,
-    _mp_context,
+    _schedule,
 )
 from repro.sim import invariants as _invariants
 from repro.supervise.manifest import (
@@ -62,177 +57,6 @@ from repro.supervise.manifest import (
     ManifestState,
     RunManifest,
 )
-from repro.telemetry.bus import SWEEP
-
-#: Environment variable exposing the attempt number (1-based) to the
-#: cell runner.  Production cells must ignore it (results must not
-#: depend on which attempt produced them); test job kinds read it to
-#: inject attempt-correlated failures.
-ATTEMPT_ENV = "REPRO_SWEEP_ATTEMPT"
-
-
-@dataclass(frozen=True)
-class SupervisePolicy:
-    """Knobs of the supervision layer.
-
-    ``timeout_s``/``stall_s`` of 0 disable that watchdog; with both
-    disabled and one worker, cells run in-process (no fork per cell).
-    ``retries`` is the number of *re*-tries: a cell gets
-    ``retries + 1`` attempts before quarantine.
-    """
-
-    timeout_s: float = 0.0
-    stall_s: float = 0.0
-    retries: int = 1
-    #: First-retry backoff; doubles per attempt, jittered in
-    #: [0.5x, 1.5x] by a PRNG seeded from (backoff_seed, cell, attempt).
-    backoff_base_s: float = 0.1
-    backoff_seed: int = 0
-    #: Sim events between heartbeat-file writes in the worker.
-    heartbeat_every: int = 4096
-    #: Supervisor poll interval while cells are in flight.
-    poll_s: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s < 0 or self.stall_s < 0:
-            raise ConfigError("timeout_s and stall_s must be >= 0")
-        if self.heartbeat_every < 1:
-            raise ConfigError("heartbeat_every must be >= 1")
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
-
-    @property
-    def watchdog(self) -> bool:
-        """Whether any feature requiring per-cell processes is on."""
-        return self.timeout_s > 0 or self.stall_s > 0
-
-    def backoff_s(self, job: SweepJob, attempt: int) -> float:
-        """Deterministic jittered exponential backoff before retrying
-        ``job`` after its ``attempt``-th failure."""
-        rng = random.Random(
-            f"{self.backoff_seed}:{job.kind}:{job.name}:{job.seed}:{attempt}"
-        )
-        return self.backoff_base_s * (2.0 ** (attempt - 1)) * (0.5 + rng.random())
-
-
-class HeartbeatBus:
-    """A telemetry-bus-shaped progress reporter for supervised workers.
-
-    Installed process-globally in the child, so the cell's
-    ``Environment`` picks it up like any other bus.  Every emit is a
-    no-op except :meth:`kernel_tick`, which writes the kernel's event
-    counter to the heartbeat file every ``every`` events — the
-    supervisor reads the file and treats a counter that stops
-    advancing as a wedged simulation.
-    """
-
-    __slots__ = ("path", "every")
-
-    enabled = True
-    kernel_dispatch = False
-    kernel_sample_every = 0
-
-    def __init__(self, path, every: int) -> None:
-        self.path = str(path)
-        self.every = int(every)
-
-    def kernel_tick(
-        self, ts_ns: int, events_processed: int, queue_depth: int, event: object
-    ) -> None:
-        if events_processed % self.every == 0:
-            try:
-                with open(self.path, "w", encoding="utf-8") as fh:
-                    fh.write(f"{events_processed}\n")
-            except OSError:  # heartbeat loss must never kill the cell
-                pass
-
-    def kernel_resume(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def span(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def instant(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    event = instant
-
-    def counter(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"<HeartbeatBus {self.path!r} every={self.every}>"
-
-
-def _read_heartbeat(path: str) -> Optional[int]:
-    """The worker's last-reported event count, or None."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return int(fh.read().split()[0])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _supervised_child(conn, job: SweepJob, attempt: int, invariant_mode: str,
-                      hb_path: Optional[str], hb_every: int) -> None:
-    """Entrypoint of one per-cell worker process (fork)."""
-    os.environ[ATTEMPT_ENV] = str(attempt)
-    if hb_path is not None:
-        from repro import telemetry as _telemetry
-
-        _telemetry.install(HeartbeatBus(hb_path, hb_every))
-    _invariants.install(_invariants.monitor_for_mode(invariant_mode))
-    envelope = _execute_job(job)
-    try:
-        conn.send(envelope)
-    except Exception as exc:  # unpicklable payload: degrade to an error
-        conn.send(
-            {
-                "error": f"cell result is not picklable: {exc!r}",
-                "pid": os.getpid(),
-            }
-        )
-    conn.close()
-
-
-def _attempt_inprocess(job: SweepJob, attempt: int, invariant_mode: str) -> Dict[str, Any]:
-    """Run one attempt in this process (no-watchdog serial path)."""
-    os.environ[ATTEMPT_ENV] = str(attempt)
-    previous = _invariants.current()
-    _invariants.install(_invariants.monitor_for_mode(invariant_mode))
-    try:
-        return _execute_job(job)
-    finally:
-        _invariants.install(previous)
-        os.environ.pop(ATTEMPT_ENV, None)
-
-
-@dataclass
-class _Pending:
-    """One not-yet-concluded cell in the supervisor's work queue."""
-
-    idx: int
-    job: SweepJob
-    key: Optional[str]
-    attempt: int = 1
-    ready_at: float = 0.0  # monotonic time before which it may not start
-
-
-@dataclass
-class _Active:
-    """One in-flight per-cell worker process."""
-
-    pending: _Pending
-    proc: Any
-    conn: Any
-    hb_path: Optional[str]
-    started: float
-    last_events: Optional[int] = None
-    last_progress: float = 0.0
 
 
 @dataclass
@@ -311,20 +135,6 @@ def new_run_id() -> str:
     return time.strftime("%Y%m%d-%H%M%S") + "-" + os.urandom(3).hex()
 
 
-def _timeout_envelope(kind: str, budget_s: float, pid: int) -> Dict[str, Any]:
-    what = (
-        f"no sim-event progress for {budget_s:g}s (stalled; killed)"
-        if kind == "stall"
-        else f"exceeded {budget_s:g}s wall-clock budget (killed)"
-    )
-    return {
-        "error": f"CellTimeout: {what}",
-        "error_code": "cell-timeout",
-        "timeout_kind": kind,
-        "pid": pid,
-    }
-
-
 def supervised_sweep(
     jobs: Optional[Sequence[SweepJob]],
     *,
@@ -355,7 +165,6 @@ def supervised_sweep(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     policy = policy or SupervisePolicy()
-    store = _as_cache(cache)
 
     run_dir = pathlib.Path(run_dir)
     if resume and run_id is None:
@@ -363,7 +172,6 @@ def supervised_sweep(
     run_id = run_id or new_run_id()
     run_path = run_dir / run_id
     manifest = RunManifest(run_path / "manifest.jsonl")
-    hb_dir = run_path / "heartbeats"
 
     prior: Optional[ManifestState] = None
     if resume:
@@ -379,39 +187,18 @@ def supervised_sweep(
         for idx, job in enumerate(jobs)
     ]
 
-    report = SweepReport(jobs=len(jobs))
-    cells: List[Optional[CellResult]] = [None] * len(jobs)
-    resumed = 0
-    quarantined = 0
-    retried = 0
-    wall0 = time.perf_counter()
-
-    def _emit(name: str, **args: Any) -> None:
-        if telemetry is not None and telemetry.enabled:
-            telemetry.instant(
-                SWEEP,
-                name,
-                int((time.perf_counter() - wall0) * 1e9),
-                lane="supervisor",
-                **args,
-            )
-
-    if store is not None and store.on_corruption is None:
-        def _report_corruption(key: str, reason: str) -> None:
-            _emit("cache_corrupt", key=key, reason=reason)
-            if logger is not None:
-                logger.warning(
-                    f"dropped corrupt cache entry {key[:12]}...: {reason}"
-                )
-
-        store.on_corruption = _report_corruption
-
-    # 1. serve cells the ledger already settled, then cache hits.
-    queue: List[_Pending] = []
+    # Cells the ledger already settled are served from it.  Interrupted
+    # attempts resume their numbering: a cell killed mid-attempt re-runs
+    # that attempt; one whose failure was recorded moves on to the next.
+    # Quarantined cells being retried start a fresh budget.
+    settled: Dict[int, CellResult] = {}
+    first_attempt: Dict[int, int] = {}
     for idx, job in enumerate(jobs):
         rec = prior.cells.get(idx) if prior is not None else None
-        if rec is not None and rec.state == DONE and rec.metrics is not None:
-            cells[idx] = CellResult(
+        if rec is None:
+            continue
+        if rec.state == DONE and rec.metrics is not None:
+            settled[idx] = CellResult(
                 job=job,
                 metrics=rec.metrics,
                 cached=True,
@@ -419,271 +206,44 @@ def supervised_sweep(
                 violations=tuple(rec.violations),
                 attempts=max(rec.attempts, 1),
             )
-            report.cached += 1
-            resumed += 1
-            continue
-        if rec is not None and rec.state == QUARANTINED and not retry_quarantined:
-            cells[idx] = CellResult(
+        elif rec.state == QUARANTINED and not retry_quarantined:
+            settled[idx] = CellResult(
                 job=job,
                 error=rec.error or "quarantined in a previous run",
                 error_code=rec.error_code or "error",
                 attempts=max(rec.attempts, 1),
             )
-            report.executed += 1
-            report.errors += 1
-            quarantined += 1
-            continue
-        key = (
-            store.key(job.kind, job.name, job.seed, job.spec)
-            if store is not None
-            else None
-        )
-        if key is not None:
-            hit = store.load(key)
-            if hit is not None:
-                cells[idx] = CellResult(job=job, metrics=hit, cached=True)
-                report.cached += 1
-                manifest.record_done(idx, 0, hit)
-                continue
-        # Interrupted attempts resume their numbering: a cell killed
-        # mid-attempt re-runs that attempt; one whose failure was
-        # recorded moves on to the next.  Quarantined cells being
-        # retried start a fresh budget.
-        attempt = 1
-        if rec is not None and rec.state == RUNNING:
-            attempt = max(rec.attempts, 1)
-        elif rec is not None and rec.state == RETRYING:
-            attempt = rec.attempts + 1
-        queue.append(_Pending(idx=idx, job=job, key=key, attempt=attempt))
+        elif rec.state == RUNNING:
+            first_attempt[idx] = max(rec.attempts, 1)
+        elif rec.state == RETRYING:
+            first_attempt[idx] = rec.attempts + 1
 
-    # 2. conclude one attempt: a final CellResult or a requeued retry.
-    def _conclude(p: _Pending, envelope: Dict[str, Any]) -> None:
-        nonlocal quarantined, retried
-        error = envelope.get("error")
-        if error is None:
-            metrics = envelope.get("metrics")
-            tainted = bool(envelope.get("tainted"))
-            violations = list(envelope.get("violations", ()))
-            manifest.record_done(
-                p.idx, p.attempt, metrics, tainted=tainted, violations=violations
-            )
-            cell = CellResult(
-                job=p.job,
-                metrics=metrics,
-                payload=envelope.get("payload"),
-                error_code=None,
-                tainted=tainted,
-                violations=tuple(violations),
-                pid=envelope.get("pid", 0),
-                wall_s=envelope.get("wall_s", 0.0),
-                process_s=envelope.get("process_s", 0.0),
-                attempts=p.attempt,
-            )
-            cells[p.idx] = cell
-            report.executed += 1
-            if tainted:
-                report.tainted += 1
-            elif p.key is not None and metrics is not None and store is not None:
-                store.store(p.key, metrics, meta={"job": p.job.label})
-            report.cpu_s += cell.process_s
-            if cell.pid:
-                report.worker_cells[cell.pid] = (
-                    report.worker_cells.get(cell.pid, 0) + 1
-                )
-                report.worker_cpu_s[cell.pid] = (
-                    report.worker_cpu_s.get(cell.pid, 0.0) + cell.process_s
-                )
-            _emit("cell", job=p.job.label, ok=True, attempt=p.attempt)
-            return
-        code = envelope.get("error_code", "error")
-        final = p.attempt >= policy.max_attempts
-        manifest.record_failure(
-            p.idx, p.attempt, error, error_code=code, final=final
-        )
-        if final:
-            cells[p.idx] = CellResult(
-                job=p.job,
-                error=error,
-                error_code=code,
-                pid=envelope.get("pid", 0),
-                wall_s=envelope.get("wall_s", 0.0),
-                process_s=envelope.get("process_s", 0.0),
-                attempts=p.attempt,
-            )
-            report.executed += 1
-            report.errors += 1
-            quarantined += 1
-            _emit(
-                "cell_quarantined",
-                job=p.job.label,
-                attempts=p.attempt,
-                error_code=code,
-            )
-            if logger is not None:
-                logger.warning(
-                    f"quarantined {p.job.label} after {p.attempt} attempt(s): "
-                    f"{error.splitlines()[0]}"
-                )
-            return
-        retried += 1
-        delay = policy.backoff_s(p.job, p.attempt)
-        _emit(
-            "cell_retry",
-            job=p.job.label,
-            attempt=p.attempt,
-            backoff_s=delay,
-            error_code=code,
-        )
-        if logger is not None:
-            logger.warning(
-                f"retrying {p.job.label} (attempt {p.attempt} failed: "
-                f"{error.splitlines()[0]}; backoff {delay:.2f}s)"
-            )
-        queue.append(
-            _Pending(
-                idx=p.idx,
-                job=p.job,
-                key=p.key,
-                attempt=p.attempt + 1,
-                ready_at=time.monotonic() + delay,
-            )
-        )
-
-    # 3. drain the queue: in-process when nothing needs a watchdog,
-    #    per-cell forked processes otherwise.
-    if queue and workers == 1 and not policy.watchdog:
-        while queue:
-            p = queue.pop(0)
-            delay = p.ready_at - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            manifest.record_running(p.idx, p.attempt, pid=os.getpid())
-            _conclude(p, _attempt_inprocess(p.job, p.attempt, invariant_mode))
-    elif queue:
-        hb_dir.mkdir(parents=True, exist_ok=True)
-        ctx = _mp_context()
-        active: Dict[int, _Active] = {}
-        try:
-            while queue or active:
-                now = time.monotonic()
-                # launch in submission order, respecting backoff gates
-                for p in [p for p in queue if p.ready_at <= now]:
-                    if len(active) >= workers:
-                        break
-                    queue.remove(p)
-                    hb_path = None
-                    if policy.stall_s > 0:
-                        hb_path = str(hb_dir / f"cell-{p.idx}.hb")
-                        try:
-                            os.unlink(hb_path)
-                        except OSError:
-                            pass
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_supervised_child,
-                        args=(
-                            child_conn,
-                            p.job,
-                            p.attempt,
-                            invariant_mode,
-                            hb_path,
-                            policy.heartbeat_every,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    manifest.record_running(p.idx, p.attempt, pid=proc.pid or 0)
-                    active[p.idx] = _Active(
-                        pending=p,
-                        proc=proc,
-                        conn=parent_conn,
-                        hb_path=hb_path,
-                        started=now,
-                        last_progress=now,
-                    )
-                # poll in-flight cells
-                progressed = False
-                for idx in list(active):
-                    a = active[idx]
-                    envelope: Optional[Dict[str, Any]] = None
-                    if a.conn.poll(0):
-                        try:
-                            envelope = a.conn.recv()
-                            a.proc.join(5)
-                        except EOFError:
-                            a.proc.join(5)
-                            envelope = {
-                                "error": (
-                                    f"worker died without a result "
-                                    f"(exitcode {a.proc.exitcode})"
-                                ),
-                                "pid": a.proc.pid or 0,
-                            }
-                    elif not a.proc.is_alive():
-                        envelope = {
-                            "error": (
-                                f"worker died without a result "
-                                f"(exitcode {a.proc.exitcode})"
-                            ),
-                            "error_code": "error",
-                            "pid": a.proc.pid or 0,
-                        }
-                    else:
-                        now = time.monotonic()
-                        kind: Optional[str] = None
-                        if policy.timeout_s > 0 and now - a.started > policy.timeout_s:
-                            kind, budget = "timeout", policy.timeout_s
-                        elif policy.stall_s > 0 and a.hb_path is not None:
-                            events = _read_heartbeat(a.hb_path)
-                            if events is not None and events != a.last_events:
-                                a.last_events = events
-                                a.last_progress = now
-                            if now - a.last_progress > policy.stall_s:
-                                kind, budget = "stall", policy.stall_s
-                        if kind is not None:
-                            _kill(a.proc)
-                            envelope = _timeout_envelope(
-                                kind, budget, a.proc.pid or 0
-                            )
-                            _emit(
-                                "cell_timeout",
-                                job=a.pending.job.label,
-                                kind=kind,
-                                attempt=a.pending.attempt,
-                            )
-                    if envelope is not None:
-                        a.conn.close()
-                        del active[idx]
-                        _conclude(a.pending, envelope)
-                        progressed = True
-                if not progressed:
-                    time.sleep(policy.poll_s)
-        finally:
-            for a in active.values():  # interrupted: leave no orphans
-                _kill(a.proc)
-
-    report.workers = workers
-    report.wall_s = time.perf_counter() - wall0
-    if telemetry is not None and telemetry.enabled:
-        ts = int(report.wall_s * 1e9)
-        telemetry.counter(SWEEP, "cells", ts, float(report.jobs))
-        telemetry.counter(SWEEP, "cache_hits", ts, float(report.cached))
-        telemetry.counter(SWEEP, "errors", ts, float(report.errors))
-        telemetry.counter(SWEEP, "quarantined", ts, float(quarantined))
-        telemetry.counter(SWEEP, "retried_attempts", ts, float(retried))
+    result, retried = _schedule(
+        jobs,
+        workers=workers,
+        policy=policy,
+        invariant_mode=invariant_mode,
+        cache=cache,
+        telemetry=telemetry,
+        logger=logger,
+        ledger=manifest,
+        settled=settled,
+        first_attempt=first_attempt,
+        heartbeat_dir=run_path / "heartbeats",
+    )
     supervised = SupervisedResult(
-        result=SweepResult(cells=list(cells), report=report),  # type: ignore[arg-type]
+        result=result,
         run_id=run_id,
         manifest_path=manifest.path,
-        resumed=resumed,
-        quarantined=quarantined,
+        resumed=sum(1 for cell in settled.values() if cell.ok),
+        quarantined=result.report.errors,
         retried_attempts=retried,
     )
     if logger is not None:
         logger.info(
-            f"supervised sweep {run_id}: " + report.render()
-            + (f"; {quarantined} quarantined" if quarantined else "")
+            f"supervised sweep {run_id}: " + result.report.render()
+            + (f"; {supervised.quarantined} quarantined"
+               if supervised.quarantined else "")
         )
     return supervised
 
@@ -712,17 +272,6 @@ def _with_cell_checkpoint(
     spec["checkpoint_dir"] = str(run_path / "checkpoints" / f"cell-{idx}")
     spec["restore"] = True
     return SweepJob(job.kind, job.name, job.seed, spec)
-
-
-def _kill(proc) -> None:
-    """Terminate a worker, escalating to SIGKILL if it lingers."""
-    if not proc.is_alive():
-        return
-    proc.terminate()
-    proc.join(0.5)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(5)
 
 
 def _resume_jobs(

@@ -17,6 +17,7 @@ from repro.parallel import (
     register_job_kind,
     run_sweep,
 )
+from repro.supervise import SupervisePolicy, supervised_sweep
 from repro.telemetry import SWEEP, TelemetryBus
 
 
@@ -54,12 +55,50 @@ def _jobs(kind, seeds, spec=None):
     return [SweepJob(kind, "t", s, dict(spec or {})) for s in seeds]
 
 
+def _outcome(cell):
+    """Everything about a cell except where and how long it ran."""
+    return (
+        cell.job, cell.metrics, cell.payload, cell.error,
+        cell.tainted, cell.cached, cell.attempts,
+    )
+
+
 class TestMergeOrder:
-    def test_serial_and_parallel_results_identical(self):
-        serial = run_sweep(_jobs("test-square", range(4)), workers=1)
-        pooled = run_sweep(_jobs("test-square", range(4)), workers=3)
-        assert serial.values("value") == pooled.values("value")
-        assert pooled.values("value") == (0.0, 1.0, 4.0, 9.0)
+    @pytest.mark.parametrize(
+        "supervised, workers, timeout_s",
+        [
+            (False, 3, 0),
+            (True, 1, 0),
+            (True, 1, 30),
+            (True, 3, 0),
+            (True, 3, 30),
+        ],
+        ids=[
+            "pool",
+            "supervised-1",
+            "supervised-1-timeout",
+            "supervised-3",
+            "supervised-3-timeout",
+        ],
+    )
+    def test_serial_and_parallel_results_identical(
+        self, tmp_path, supervised, workers, timeout_s
+    ):
+        jobs = _jobs("test-square", range(4))
+        serial = run_sweep(jobs, workers=1)
+        if supervised:
+            other = supervised_sweep(
+                jobs,
+                run_dir=tmp_path,
+                workers=workers,
+                policy=SupervisePolicy(timeout_s=timeout_s),
+            ).result
+        else:
+            other = run_sweep(jobs, workers=workers)
+        assert other.values("value") == (0.0, 1.0, 4.0, 9.0)
+        assert [_outcome(c) for c in other.cells] == [
+            _outcome(c) for c in serial.cells
+        ]
 
     def test_results_carry_worker_pids(self):
         pooled = run_sweep(_jobs("test-square", range(3)), workers=2)
@@ -135,22 +174,36 @@ class TestErrorContainment:
         assert result.cells[0].metrics == {"value": 0.0}
         assert result.cells[2].metrics == {"value": 2.0}
 
+    def test_unpicklable_job_is_a_cell_error(self):
+        # A job that cannot be sent to a worker fails alone.
+        jobs = _jobs("test-square", range(2))
+        jobs.append(SweepJob("test-square", "t", 2, {"fn": lambda: 0}))
+        result = run_sweep(jobs, workers=2)
+        [bad] = result.failed()
+        assert bad.job.seed == 2
+        assert "pickle" in bad.error.lower()
+        assert [c.metrics for c in result.cells[:2]] == [
+            {"value": 0.0}, {"value": 1.0}
+        ]
+
     def test_values_on_failed_sweep_raises(self):
         result = run_sweep(_jobs("test-boom", [1]), workers=1)
         with pytest.raises(ConfigError, match="no metric"):
             result.values("value")
 
     def test_crashed_worker_yields_cell_errors_not_a_hang(self):
-        # Seed 1's worker hard-exits mid-cell.  The pool breaks; every
-        # in-flight/queued cell gets a per-cell error and run_sweep
-        # still returns a full, ordered result list.
+        # Seed 1's worker hard-exits mid-cell.  Only that cell fails;
+        # its worker is replaced and every other cell completes with
+        # its value, in submission order.
         result = run_sweep(_jobs("test-die", range(4)), workers=2)
-        assert len(result.cells) == 4
-        assert all(c is not None for c in result.cells)
-        crashed = result.failed()
-        assert crashed, "hard crash must surface as cell errors"
-        assert any("worker process died" in c.error for c in crashed)
-        assert result.report.errors == len(crashed)
+        [crashed] = result.failed()
+        assert crashed.job.seed == 1
+        assert "worker process died" in crashed.error
+        assert "exit code 13" in crashed.error
+        assert [c.metrics for c in result.cells] == [
+            {"value": 0.0}, None, {"value": 2.0}, {"value": 3.0}
+        ]
+        assert result.report.errors == 1
 
 
 class TestTelemetry:

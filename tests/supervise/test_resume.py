@@ -36,6 +36,7 @@ supervised_sweep(
     killhelper.jobs({n}),
     run_dir={run_dir!r},
     run_id="victim",
+    workers={workers},
     policy=SupervisePolicy(backoff_base_s=0.001),
 )
 """
@@ -51,13 +52,27 @@ def _count_done(manifest_path) -> int:
     )
 
 
+def _running(pid) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestKillAndResume:
-    def test_sigkill_mid_sweep_resumes_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigkill_mid_sweep_resumes_byte_identical(self, tmp_path, workers):
         src = str(pathlib.Path(__file__).parents[2] / "src")
         helper_dir = str(pathlib.Path(__file__).parent)
         run_dir = tmp_path / "runs"
         script = _VICTIM_SCRIPT.format(
-            src=src, helper_dir=helper_dir, n=N_CELLS, run_dir=str(run_dir)
+            src=src,
+            helper_dir=helper_dir,
+            n=N_CELLS,
+            run_dir=str(run_dir),
+            workers=workers,
         )
         proc = subprocess.Popen([sys.executable, "-c", script])
         manifest_path = run_dir / "victim" / "manifest.jsonl"
@@ -85,6 +100,22 @@ class TestKillAndResume:
             f"kill landed too late ({done_at_kill}/{N_CELLS} done); "
             f"nothing left to resume"
         )
+        if workers > 1:
+            # Every worker notices its parent died, idle or mid-cell:
+            # no orphan keeps running cells, heartbeats or checkpoints.
+            pids = {
+                json.loads(line).get("pid")
+                for line in manifest_path.read_text().splitlines()
+                if '"state":"running"' in line
+            }
+            assert pids and proc.pid not in pids
+            deadline = time.monotonic() + 5
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            orphans = [pid for pid in pids if _running(pid)]
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+            assert not orphans
 
         # Resume: completed cells come from the ledger, the rest run.
         resumed = resume_sweep("victim", run_dir=run_dir, policy=FAST)
@@ -219,6 +250,39 @@ class TestShardedCellResume:
         a = json.dumps(sup.deterministic_dict(), sort_keys=True)
         b = json.dumps(resumed.deterministic_dict(), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "workers, timeout_s", [(1, 120), (2, 0)], ids=["timeout", "workers-2"]
+    )
+    def test_sharded_cells_run_in_forked_workers(
+        self, tmp_path, workers, timeout_s
+    ):
+        """A sweep worker forks the cell's shard workers itself, so it
+        must not be a daemonic process."""
+        from repro.parallel import SweepJob
+
+        jobs = [
+            SweepJob("cluster", "cluster_smoke", seed, {"sim_s": 0.01, "shards": 2})
+            for seed in self.SEEDS
+        ]
+        forked = supervised_sweep(
+            jobs,
+            run_dir=tmp_path,
+            run_id="forked",
+            workers=workers,
+            policy=SupervisePolicy(retries=0, timeout_s=timeout_s),
+        )
+        inprocess = supervised_sweep(
+            jobs,
+            run_dir=tmp_path,
+            run_id="in-process",
+            policy=SupervisePolicy(retries=0),
+        )
+        assert forked.complete, [c.error for c in forked.cells]
+        assert all(c.pid != os.getpid() for c in forked.cells)
+        assert [c.metrics for c in forked.cells] == [
+            c.metrics for c in inprocess.cells
+        ]
 
     def test_sharded_ledger_matches_serial_ledger(self, tmp_path):
         """The deterministic projection of a sharded supervised sweep is
