@@ -979,6 +979,51 @@ def cluster_world_key(spec: ClusterSpec, seed: int, until_ns: int) -> str:
     return "cluster/" + _hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
+#: Per-domain cost model of a cluster run, in DES events.  The shard
+#: partition weighs domains by it (:class:`~repro.sim.shard.ShardMap`),
+#: so only its ratios matter.  The coefficients are a least-squares fit
+#: to the per-domain ``events_per_shard`` of all three presets, run at
+#: one domain per shard for 0.02, 0.05 and 0.1 simulated seconds under
+#: seeds 7 and 101 (the counts are deterministic): every background
+#: flow costs its origin rack about 8 events; with ResEx on, every rack
+#: pays its controller and price agent at a steady rate, and the rack
+#: hosting the monitored stack pays for the BenchEx pairs and the
+#: IOShares controller once the pairs are deployed, plus the price
+#: coordinator's per-rack gossip.
+_FLOW_EVENTS = 8.0
+_RACK_EVENTS_PER_S = 31_000.0
+_STACK_EVENTS_PER_S = 320_000.0
+_STACK_DEPLOY_S = 0.007
+_COORDINATOR_EVENTS_PER_RACK_S = 1_200.0
+
+
+def predicted_domain_events(
+    spec: ClusterSpec, sim_s: Optional[float] = None
+) -> Tuple[float, ...]:
+    """Predicted DES events per domain of a ``sim_s`` run of ``spec``.
+
+    A pure function of the spec (never of the seed), so the shard map
+    it weighs is too.  Fenced against measured counts in the shard
+    property suite.
+    """
+    sim_s = spec.sim_s if sim_s is None else sim_s
+    plan = spec.domain_plan()
+    n_racks, rack_hosts = spec.n_racks, spec.rack_hosts
+    base, rem = divmod(spec.n_flows, n_racks)
+    costs = []
+    for d in range(plan.n_domains):
+        hosts = plan.hosts_of(d)
+        racks = range(hosts[0] // rack_hosts, hosts[-1] // rack_hosts + 1)
+        cost = _FLOW_EVENTS * sum(base + (r < rem) for r in racks)
+        if spec.with_resex:
+            cost += _RACK_EVENTS_PER_S * sim_s * len(racks)
+            if 0 in racks:
+                cost += _STACK_EVENTS_PER_S * max(sim_s - _STACK_DEPLOY_S, 0.0)
+                cost += _COORDINATOR_EVENTS_PER_RACK_S * sim_s * (n_racks - 1)
+        costs.append(cost)
+    return tuple(costs)
+
+
 def run_cluster(
     spec: "ClusterSpec | str",
     seed: int = 7,
@@ -1014,7 +1059,8 @@ def run_cluster(
     """
     if isinstance(spec, str):
         spec = cluster_spec(spec)
-    until_ns = int((sim_s if sim_s is not None else spec.sim_s) * SEC)
+    sim_s = spec.sim_s if sim_s is None else sim_s
+    until_ns = int(sim_s * SEC)
     plan = spec.domain_plan()
 
     checkpoint = None
@@ -1037,6 +1083,7 @@ def run_cluster(
         build,
         n_domains=plan.n_domains,
         shards=shards,
+        weights=predicted_domain_events(spec, sim_s),
         until_ns=until_ns,
         lookahead_ns=spec.cross_rack_latency_ns,
         merge=lambda parts: _merge_parts(parts, spec, seed, until_ns),

@@ -71,9 +71,11 @@ class NetLink:
     __slots__ = (
         "name",
         "capacity_bps",
+        "capacity_bytes_per_ns",
         "nominal_bps",
         "degraded_factor",
         "bytes_accepted",
+        "rate_sum",
         "_util_integral",
     )
 
@@ -84,6 +86,9 @@ class NetLink:
             )
         self.name = name
         self.capacity_bps = float(capacity_bytes_per_sec)
+        #: ``capacity_bps`` per ns, kept in step by the fabric's
+        #: capacity setters (the solver and utilization hot path).
+        self.capacity_bytes_per_ns = self.capacity_bps / SEC
         #: Healthy capacity; ``capacity_bps`` is this scaled by the
         #: current degradation factor (fault injection, see
         #: :mod:`repro.faults`).
@@ -93,12 +98,19 @@ class NetLink:
         self.degraded_factor = 1.0
         #: Total bytes of transfers routed through this link.
         self.bytes_accepted: int = 0
+        #: Sum of the current rates of the active transfers crossing
+        #: this link (meaningful while it has any), maintained by the
+        #: fabric's reallocation.
+        self.rate_sum = 0.0
         #: Integral of (allocated rate / capacity) d(t) in ns units.
         self._util_integral: float = 0.0
 
-    @property
-    def capacity_bytes_per_ns(self) -> float:
-        return self.capacity_bps / SEC
+    def set_capacity(self, nominal_bps: float, degraded_factor: float) -> None:
+        """Set the healthy capacity and the available fraction of it."""
+        self.nominal_bps = float(nominal_bps)
+        self.degraded_factor = float(degraded_factor)
+        self.capacity_bps = self.nominal_bps * self.degraded_factor
+        self.capacity_bytes_per_ns = self.capacity_bps / SEC
 
     def utilization(self, elapsed_ns: int) -> float:
         """Mean utilization over ``elapsed_ns`` of simulated time."""
@@ -116,7 +128,6 @@ class Transfer:
     __slots__ = (
         "transfer_id",
         "path",
-        "path_names",
         "nbytes",
         "remaining",
         "rate",
@@ -125,6 +136,7 @@ class Transfer:
         "completed_at",
         "flow_label",
         "weight",
+        "shape",
     )
 
     def __init__(
@@ -139,8 +151,6 @@ class Transfer:
     ) -> None:
         self.transfer_id = transfer_id
         self.path = path
-        #: Path as link names, precomputed for the solver memo key.
-        self.path_names = tuple(link.name for link in path)
         self.nbytes = nbytes
         self.remaining = float(nbytes)
         self.rate = 0.0  # bytes per ns, set by reallocation
@@ -151,6 +161,9 @@ class Transfer:
         #: Arbitration weight (IB VL priority analog): shares on a
         #: contended link are proportional to weight.
         self.weight = weight
+        #: This transfer's part of a solver memo key: its path as link
+        #: names, and its weight.
+        self.shape = (tuple(link.name for link in path), weight)
 
     def __repr__(self) -> str:
         return (
@@ -395,6 +408,7 @@ class FluidFabric:
         self._next_id = 0
         self._last_advance = env.now
         self._timer_generation = 0
+        self._timer_callback = self._on_timer
         #: Completed-transfer log (id, nbytes, duration_ns, flow_label).
         self.completions: List[Tuple[int, int, int, str]] = []
         #: Memoized solver results: normalized subproblem -> rate tuple.
@@ -455,8 +469,7 @@ class FluidFabric:
             raise FabricError("capacity must be > 0")
         link = self.link(name)
         self._advance()
-        link.nominal_bps = float(capacity_bytes_per_sec)
-        link.capacity_bps = link.nominal_bps * link.degraded_factor
+        link.set_capacity(capacity_bytes_per_sec, link.degraded_factor)
         self._reallocate((link,))
         self._schedule_next()
 
@@ -477,8 +490,7 @@ class FluidFabric:
             )
         link = self.link(name)
         self._advance()
-        link.degraded_factor = float(available_factor)
-        link.capacity_bps = link.nominal_bps * link.degraded_factor
+        link.set_capacity(link.nominal_bps, available_factor)
         self._reallocate((link,))
         self._schedule_next()
 
@@ -550,17 +562,19 @@ class FluidFabric:
         now = self.env.now
         dt = now - self._last_advance
         if dt > 0 and self._active:
-            # Per-link utilization bookkeeping.
-            link_rate: Dict[NetLink, float] = {}
             for t in self._active:
-                t.remaining = max(t.remaining - t.rate * dt, 0.0)
-                for link in t.path:
-                    link_rate[link] = link_rate.get(link, 0.0) + t.rate
-            for link, rate in link_rate.items():
+                remaining = t.remaining - t.rate * dt
+                if remaining < 0.0:
+                    remaining = 0.0
+                t.remaining = remaining
+            # Per-link utilization bookkeeping, over the links that
+            # carry an active transfer.
+            for link in self._members:
                 # A fully-degraded (down) link carries no traffic and
                 # counts as unutilized for the duration of the outage.
-                if link.capacity_bytes_per_ns > 0:
-                    link._util_integral += (rate / link.capacity_bytes_per_ns) * dt
+                cap = link.capacity_bytes_per_ns
+                if cap > 0:
+                    link._util_integral += (link.rate_sum / cap) * dt
         self._last_advance = now
 
     def _solve(
@@ -569,7 +583,7 @@ class FluidFabric:
         """Max-min rates for ``transfers``, memoized.
 
         The key is the exact normalized subproblem — ordered
-        ``(path_names, weight)`` per transfer plus the current capacity
+        ``(path names, weight)`` per transfer plus the current capacity
         of every involved link — so a cache hit returns the very floats
         a fresh solve would produce and byte-identity is preserved.
         ``n_links`` is the caller's involved-link count (the fabric
@@ -605,17 +619,16 @@ class FluidFabric:
                 n_links=n_links,
             )
             return tuple(rates[t] for t in transfers)
-        tkey = []
-        seen = set()
-        lkey = []
+        # The transfers' shapes fix the involved links and their
+        # first-appearance order, so the link part needs capacities only.
+        seen: Dict[NetLink, None] = {}
         for t in transfers:
-            tkey.append((t.path_names, t.weight))
             for link in t.path:
-                name = link.name
-                if name not in seen:
-                    seen.add(name)
-                    lkey.append((name, link.capacity_bps))
-        key = (tuple(tkey), tuple(lkey))
+                seen[link] = None
+        key = (
+            tuple([t.shape for t in transfers]),
+            tuple([link.capacity_bps for link in seen]),
+        )
         cached = self._solve_cache.get(key)
         if cached is not None:
             self._memo_hits += 1
@@ -685,14 +698,34 @@ class FluidFabric:
                     stats["component_transfers"] += len(aff)
                     if len(aff) > stats["max_component"]:
                         stats["max_component"] = len(aff)
-                    for t, rate in zip(aff, self._solve(aff, len(linkset))):
-                        t.rate = rate
+                    self._set_rates(aff, self._solve(aff, len(linkset)))
                     return
         stats = self.solver_stats
         stats["global_solves"] += 1
         stats["global_transfers"] += len(active)
-        for t, rate in zip(active, self._solve(active, len(self._members))):
+        self._set_rates(active, self._solve(active, len(self._members)))
+
+    @staticmethod
+    def _set_rates(
+        transfers: Sequence[Transfer], rates: Sequence[float]
+    ) -> None:
+        """Install solved rates and refresh the rate sums of every link
+        the transfers cross.
+
+        ``transfers`` is a whole component (or the active set) in
+        submission order, so each link's sum covers all its transfers,
+        adds them left to right in that order, and counts a path that
+        visits the link twice twice — the same floats a fresh per-link
+        tally over the active set would give.
+        """
+        for t, rate in zip(transfers, rates):
             t.rate = rate
+            for link in t.path:
+                link.rate_sum = 0.0
+        for t in transfers:
+            rate = t.rate
+            for link in t.path:
+                link.rate_sum += rate
 
     def _schedule_next(self) -> None:
         self._timer_generation += 1
@@ -713,11 +746,13 @@ class FluidFabric:
             # is nothing to time until capacity is restored.
             return
         delay = max(int(math.ceil(dt_min)), 1)
-        timer = self.env.timeout(delay)
-        timer.callbacks.append(lambda _ev: self._on_timer(generation))
+        # The timer's value is the allocation generation it was armed
+        # for, so one bound method serves every timer.
+        timer = self.env.timeout(delay, generation)
+        timer.callbacks.append(self._timer_callback)
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
+    def _on_timer(self, timer: Event) -> None:
+        if timer._value != self._timer_generation:
             return  # superseded by a newer allocation
         self._advance()
         finished = [t for t in self._active if t.remaining <= _COMPLETION_EPS]

@@ -45,7 +45,7 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.durable import atomic_write
 from repro.errors import CheckpointError, ConfigError
@@ -186,14 +186,17 @@ def checkpoint_payload(
     coalesce: bool,
     stats: Dict[str, Any],
     journal: ShardJournal,
+    shard_map: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[str, Any]:
     """The self-contained resume state written at one barrier.
 
     ``k`` is the next window index and ``stride`` the stride already
     piggybacked to the workers — together with the journal they are the
-    complete parent-side loop state at a barrier.
+    complete parent-side loop state at a barrier.  ``shard_map`` is
+    every shard's domains, in shard order: a journal replays only into
+    shards that own the same domains.
     """
-    return {
+    payload = {
         "schema": CKPT_SCHEMA,
         "world_key": world_key,
         "k": int(k),
@@ -207,6 +210,9 @@ def checkpoint_payload(
         "journal_frames": [list(per) for per in journal.frames],
         "journal_digests": [list(per) for per in journal.digests],
     }
+    if shard_map is not None:
+        payload["shard_map"] = [list(block) for block in shard_map]
+    return payload
 
 
 def journal_from_payload(payload: Dict[str, Any]) -> ShardJournal:
@@ -242,13 +248,16 @@ def validate_restore(
     lookahead_ns: int,
     coalesce: bool,
     n_windows: int,
+    shard_map: Optional[Sequence[Sequence[int]]] = None,
 ) -> None:
     """Reject a checkpoint that does not describe *this* run.
 
     Geometry and horizon must match exactly: a journal recorded under a
-    different lookahead or shard count replays a different message
-    stream, and restoring it would silently break the determinism
-    contract the checkpoint exists to preserve.
+    different lookahead, shard count or domain-to-shard map replays a
+    different message stream, and restoring it would silently break the
+    determinism contract the checkpoint exists to preserve.  A payload
+    that predates the recorded map was written under the count split
+    (sizes differing by at most one, larger shards first).
     """
     expect = {
         "world_key": world_key,
@@ -258,8 +267,16 @@ def validate_restore(
         "lookahead_ns": int(lookahead_ns),
         "coalesce": bool(coalesce),
     }
+    if shard_map is not None:
+        expect["shard_map"] = [list(block) for block in shard_map]
     for key, want in expect.items():
         got = payload.get(key)
+        if key == "shard_map" and got is None:
+            # Checked last, so the file's geometry already matches.
+            from repro.sim.shard import ShardMap  # imports this module
+
+            legacy = ShardMap(n_domains, shards)
+            got = [list(block) for block in legacy.blocks()]
         if got != want:
             raise CheckpointError(
                 f"checkpoint does not match this run: {key} is {got!r} "

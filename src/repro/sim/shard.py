@@ -90,8 +90,10 @@ uninterrupted one.
 
 from __future__ import annotations
 
+import bisect
 import gc
 import hashlib
+import math
 import pickle
 import signal
 import struct
@@ -324,10 +326,24 @@ class ShardMap:
     Contiguity preserves locality for topology-derived domains (racks
     that share a spec prefix land together); determinism needs only
     that the map is a pure function of its inputs.
+
+    ``weights`` (one non-negative cost per domain, e.g. its predicted
+    event count) makes the split cost-aware: the map is the contiguous
+    partition whose heaviest shard is as light as possible.  Ties break
+    so that earlier shards are larger — shard by shard from the left,
+    each takes the longest run of domains that keeps it within the
+    optimal bottleneck of what is left.  Without weights every domain
+    weighs the same, and that rule yields the count split (sizes
+    differing by at most one, the larger ones first).
     """
 
     n_domains: int
     shards: int
+    weights: Optional[Tuple[float, ...]] = None
+    #: First domain of each shard, plus ``n_domains`` as a sentinel.
+    _starts: Tuple[int, ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
 
     def __post_init__(self) -> None:
         if self.n_domains < 1:
@@ -337,30 +353,95 @@ class ShardMap:
                 f"shards must be in [1, {self.n_domains}] "
                 f"(one per domain at most), got {self.shards}"
             )
+        if self.weights is None:
+            weights = (1.0,) * self.n_domains
+        else:
+            weights = tuple(float(w) for w in self.weights)
+            if len(weights) != self.n_domains:
+                raise ConfigError(
+                    f"need one weight per domain ({self.n_domains}), "
+                    f"got {len(weights)}"
+                )
+            if not all(0.0 <= w < math.inf for w in weights):
+                raise ConfigError(
+                    f"domain weights must be finite and >= 0, got {weights}"
+                )
+            object.__setattr__(self, "weights", weights)
+        starts = _linear_partition(weights, self.shards)
+        object.__setattr__(self, "_starts", tuple(starts))
 
     def domains_of(self, shard: int) -> Tuple[int, ...]:
         if not 0 <= shard < self.shards:
             raise ConfigError(f"no such shard {shard} (have {self.shards})")
-        base, rem = divmod(self.n_domains, self.shards)
-        start = shard * base + min(shard, rem)
-        size = base + (1 if shard < rem else 0)
-        return tuple(range(start, start + size))
+        return tuple(range(self._starts[shard], self._starts[shard + 1]))
 
     def shard_of(self, domain: int) -> int:
         if not 0 <= domain < self.n_domains:
             raise ConfigError(
                 f"no such domain {domain} (have {self.n_domains})"
             )
-        base, rem = divmod(self.n_domains, self.shards)
-        split = rem * (base + 1)
-        if domain < split:
-            return domain // (base + 1)
-        return rem + (domain - split) // base
+        return bisect.bisect_right(self._starts, domain) - 1
+
+    def blocks(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every shard's domains, in shard order."""
+        return tuple(self.domains_of(s) for s in range(self.shards))
 
     def domain_to_shard(self) -> List[int]:
         """Dense ``domain -> shard`` lookup table (the barrier loop's
         routing hot path — no per-message dict hashing)."""
         return [self.shard_of(d) for d in range(self.n_domains)]
+
+
+def _linear_partition(weights: Sequence[float], shards: int) -> List[int]:
+    """Shard start indices (plus the end sentinel) of the contiguous
+    split of ``weights`` into ``shards`` non-empty runs that minimizes
+    the heaviest run, with ties broken toward larger earlier runs.
+
+    ``best[k][i]`` is the optimal bottleneck of domains ``i..n-1`` over
+    ``k`` shards.  Run loads grow with the run's end while the rest's
+    bottleneck shrinks, so each DP cell bisects for the crossing instead
+    of scanning every split.  Loads are prefix-sum differences,
+    computed by the same expression everywhere, so every comparison
+    sees the same floats.
+    """
+    n = len(weights)
+    prefix = [0.0]
+    for w in weights:
+        prefix.append(prefix[-1] + w)
+
+    def load(i: int, j: int) -> float:  # domains i..j-1
+        return prefix[j] - prefix[i]
+
+    best = [[math.inf] * (n + 1) for _ in range(shards + 1)]
+    for i in range(n):
+        best[1][i] = load(i, n)
+    for k in range(2, shards + 1):
+        nxt, cur = best[k - 1], best[k]
+        for i in range(n - k + 1):
+            # First run is i..j-1 with j in [i+1, n-k+1]; find the
+            # smallest j whose run load reaches the rest's bottleneck.
+            lo, hi = i + 1, n - k + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if load(i, mid) >= nxt[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            cost = max(load(i, lo), nxt[lo])
+            if lo > i + 1:
+                cost = min(cost, max(load(i, lo - 1), nxt[lo - 1]))
+            cur[i] = cost
+    starts = [0]
+    i = 0
+    for k in range(shards, 1, -1):
+        bound = best[k][i]
+        j = n - k + 1  # leave one domain for each later shard
+        while load(i, j) > bound or best[k - 1][j] > bound:
+            j -= 1
+        starts.append(j)
+        i = j
+    starts.append(n)
+    return starts
 
 
 @dataclass
@@ -372,6 +453,13 @@ class ShardStats:
     instant per environment), and wall times are the host's business.
     ``windows`` counts logical lookahead windows; ``barriers`` counts
     actual exchanges — elision makes the latter (much) smaller.
+
+    ``compute_s`` and ``wait_s`` are per-shard host wall seconds: time
+    running the shard's events (its windows and closing phase) and
+    time its worker sat blocked on the pipe waiting for the parent's
+    next inbox frame (always 0 inline, where nothing waits).  A shard
+    that waits long is lighter than the heaviest one.  Being host
+    measurements, both are excluded from equality.
     """
 
     shards: int = 1
@@ -385,6 +473,8 @@ class ShardStats:
     respawns: int = 0
     events_per_shard: List[int] = field(default_factory=list)
     sent_per_shard: List[int] = field(default_factory=list)
+    compute_s: List[float] = field(default_factory=list, compare=False)
+    wait_s: List[float] = field(default_factory=list, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -397,6 +487,8 @@ class ShardStats:
             "respawns": self.respawns,
             "events_per_shard": list(self.events_per_shard),
             "sent_per_shard": list(self.sent_per_shard),
+            "compute_s": list(self.compute_s),
+            "wait_s": list(self.wait_s),
         }
 
 
@@ -478,6 +570,7 @@ def run_sharded(
     until_ns: int,
     lookahead_ns: int,
     merge: Callable[[List[Any]], Any],
+    weights: Optional[Sequence[float]] = None,
     backend: str = "auto",
     inline_order: Optional[Callable[[int, List[int]], List[int]]] = None,
     coalesce: bool = True,
@@ -493,11 +586,14 @@ def run_sharded(
     ``domains`` (``None`` means *all* — the serial fast path, which
     runs the single environment straight through with no windows).
     ``merge`` folds the per-shard ``finalize()`` results, always in
-    shard order.  ``backend`` is ``"serial"`` (forced single
-    environment), ``"inline"`` (N worlds, one process — the reference
-    the property tests permute via ``inline_order``), ``"fork"`` (one
-    process per shard), or ``"auto"`` (fork when available and
-    ``shards > 1``, else inline).  ``coalesce=False`` disables barrier
+    shard order.  ``weights`` — one predicted cost per domain — balance
+    the contiguous partition (see :class:`ShardMap`); any grouping
+    gives the same bytes, so they only move time between shards.
+    ``backend`` is ``"serial"`` (forced single environment),
+    ``"inline"`` (N worlds, one process — the reference the property
+    tests permute via ``inline_order``), ``"fork"`` (one process per
+    shard), or ``"auto"`` (fork when available and ``shards > 1``,
+    else inline).  ``coalesce=False`` disables barrier
     elision — one exchange per window, the pre-elision execution shape
     — and is byte-identical to the default (CI holds it there).
 
@@ -511,7 +607,9 @@ def run_sharded(
     every fork-backend barrier (e.g.
     :class:`repro.faults.WorkerKill`).
     """
-    shard_map = ShardMap(n_domains, shards)
+    shard_map = ShardMap(
+        n_domains, shards, None if weights is None else tuple(weights)
+    )
     if backend not in ("auto", "serial", "inline", "fork"):
         raise ConfigError(f"unknown shard backend {backend!r}")
     if backend == "serial" and shards != 1:
@@ -530,12 +628,15 @@ def run_sharded(
                 "worker_faults need worker processes (fork backend)"
             )
         world = build(None)
+        t0 = time.perf_counter()
         world.env.run(until=until_ns)
         stats = ShardStats(
             shards=1,
             backend="serial",
             events_per_shard=[world.env.events_processed],
             sent_per_shard=[world.mailbox.sent],
+            compute_s=[time.perf_counter() - t0],
+            wait_s=[0.0],
         )
         return merge([world.finalize()]), stats
 
@@ -562,6 +663,7 @@ def run_sharded(
                 world_key=world_key,
                 shards=shards,
                 n_domains=n_domains,
+                shard_map=shard_map.blocks(),
                 until_ns=until_ns,
                 lookahead_ns=lookahead_ns,
                 coalesce=coalesce,
@@ -666,24 +768,42 @@ def _shard_worker(
 
     The world stays resident for the whole run and exchanges
     struct-packed frames with the parent, whose stride decision arrives
-    piggybacked on the inbox.
+    piggybacked on the inbox.  The envelope also carries the worker's
+    compute and pipe-wait wall time (:class:`ShardStats`).
     """
     die_with_parent()
     envelope: Dict[str, Any] = {}
     ambient = _invariants.current()
     monitor = _invariants.monitor_for_mode(ambient.mode)
     _invariants.install(monitor)
+    clock = time.perf_counter
     try:
         world = build(tuple(domains))
+        # The world lives until this process exits: move it out of the
+        # cyclic collector's reach, so the collections the run triggers
+        # stop re-scanning everything the build allocated.
+        gc.freeze()
         n = len(bounds)
         k = 0
         stride = 1
+        compute = wait = 0.0
         while k < n:
             j = k + stride - 1
-            conn.send_bytes(_pack_barrier(*_shard_step(world, bounds[j])))
-            stride = _ingest_step(world, conn.recv_bytes(), coalesce)
+            t0 = clock()
+            frame = _pack_barrier(*_shard_step(world, bounds[j]))
+            t1 = clock()
+            conn.send_bytes(frame)
+            t2 = clock()
+            inbox = conn.recv_bytes()
+            t3 = clock()
+            compute += t1 - t0
+            wait += t3 - t2
+            stride = _ingest_step(world, inbox, coalesce)
             k = j + 1
+        t0 = clock()
         envelope = _finish_step(world, until_ns)
+        envelope["compute_s"] = compute + (clock() - t0)
+        envelope["wait_s"] = wait
     except BaseException as exc:
         envelope = {
             "error": f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
@@ -730,6 +850,7 @@ class _InlineTransport:
         self._until_ns = until_ns
         self._coalesce = coalesce
         self.worlds: List[Any] = []
+        self._compute_s = [0.0] * shard_map.shards
 
     def start(self) -> None:
         self.worlds = [
@@ -743,7 +864,9 @@ class _InlineTransport:
     def outbox(self, s: int, limit: int):
         # The content is the very messages packed, in drain order; the
         # routed inbox frames (and so the journal) keep that order.
+        t0 = time.perf_counter()
         report = _shard_step(self.worlds[s], limit)
+        self._compute_s[s] += time.perf_counter() - t0
         return _pack_barrier(*report), report
 
     def deliver(self, s: int, frame: bytes) -> None:
@@ -753,7 +876,12 @@ class _InlineTransport:
         self.worlds[s] = self._build(self._map.domains_of(s))
 
     def finish(self, s: int) -> Dict[str, Any]:
-        return _finish_step(self.worlds[s], self._until_ns)
+        t0 = time.perf_counter()
+        envelope = _finish_step(self.worlds[s], self._until_ns)
+        elapsed = time.perf_counter() - t0
+        envelope["compute_s"] = self._compute_s[s] + elapsed
+        envelope["wait_s"] = 0.0
+        return envelope
 
 
 class _ForkTransport:
@@ -1091,7 +1219,7 @@ def _run_barriers(
                         until_ns=until_ns, lookahead_ns=lookahead_ns,
                         n_domains=shard_map.n_domains, shards=shards,
                         coalesce=coalesce, stats=stats.to_dict(),
-                        journal=journal,
+                        journal=journal, shard_map=shard_map.blocks(),
                     ),
                 )
 
@@ -1124,4 +1252,6 @@ def _run_barriers(
                 )
     stats.events_per_shard = [env["events"] for env in envelopes]
     stats.sent_per_shard = [env["sent"] for env in envelopes]
+    stats.compute_s = [env["compute_s"] for env in envelopes]
+    stats.wait_s = [env["wait_s"] for env in envelopes]
     return merge([env["result"] for env in envelopes]), stats

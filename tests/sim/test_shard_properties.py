@@ -13,15 +13,31 @@ the cluster model (a scripted toy world with echo replies stands in):
   completion order): any per-window permutation produces the same
   bytes as the identity order, which produces the same bytes as the
   serial run.
+* **Optimal partition** — a weighted :class:`ShardMap` is contiguous,
+  covering and never empty, and its heaviest shard equals the brute
+  force optimum; unweighted and equal-weight maps are the count split.
+
+One class leaves the toy world: :class:`TestClusterBalance` fences the
+cluster's per-domain cost model against measured event counts and the
+resulting 2-shard balance of ``cluster_scale``.
 
 Runs under the pinned derandomized profiles of ``tests/conftest.py``.
 """
+
+import dataclasses
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.errors import ConfigError, ShardSyncError
+from repro.experiments.cluster import (
+    CLUSTER_SPECS,
+    cluster_spec,
+    predicted_domain_events,
+    run_cluster,
+)
 from repro.sim import Environment
 from repro.sim.shard import (
     Mailbox,
@@ -384,6 +400,83 @@ class TestConservativeSync:
         assert max(sizes) - min(sizes) <= 1
 
 
+def _count_split(n_domains, shards):
+    """The contiguous map by domain count: sizes differing by at most
+    one, the larger shards first."""
+    base, rem = divmod(n_domains, shards)
+    starts = [s * base + min(s, rem) for s in range(shards + 1)]
+    return tuple(
+        tuple(range(starts[s], starts[s + 1])) for s in range(shards)
+    )
+
+
+def _brute_force_bottleneck(weights, shards):
+    n = len(weights)
+    best = None
+    for cuts in itertools.combinations(range(1, n), shards - 1):
+        bounds = (0, *cuts, n)
+        heaviest = max(
+            sum(weights[bounds[i]:bounds[i + 1]]) for i in range(shards)
+        )
+        best = heaviest if best is None else min(best, heaviest)
+    return best
+
+
+class TestWeightedShardMap:
+    @given(
+        case=st.lists(st.integers(0, 10_000), min_size=1, max_size=8).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(1, len(w)))
+        )
+    )
+    @settings(max_examples=300)
+    def test_weighted_map_is_an_optimal_contiguous_partition(self, case):
+        weights, shards = case
+        n_domains = len(weights)
+        smap = ShardMap(n_domains, shards, tuple(float(w) for w in weights))
+        seen = []
+        for s in range(shards):
+            block = smap.domains_of(s)
+            assert block  # never an empty shard
+            assert list(block) == list(range(block[0], block[-1] + 1))
+            for d in block:
+                assert smap.shard_of(d) == s
+            seen.extend(block)
+        assert seen == list(range(n_domains))
+        assert smap.domain_to_shard() == [
+            smap.shard_of(d) for d in range(n_domains)
+        ]
+        # Integer weights sum exactly, so the optimum compares exactly.
+        heaviest = max(
+            sum(weights[d] for d in smap.domains_of(s)) for s in range(shards)
+        )
+        assert heaviest == _brute_force_bottleneck(weights, shards)
+
+    def test_unweighted_and_equal_weight_maps_are_the_count_split(self):
+        for n_domains in range(1, 65):
+            for shards in range(1, n_domains + 1):
+                legacy = _count_split(n_domains, shards)
+                assert ShardMap(n_domains, shards).blocks() == legacy
+                equal = ShardMap(n_domains, shards, (2.5,) * n_domains)
+                assert equal.blocks() == legacy, (n_domains, shards)
+
+    def test_heavy_first_domain_gets_a_shard_to_itself(self):
+        weights = (6.6,) + (1.0,) * 15
+        assert ShardMap(16, 2, weights).blocks() == (
+            tuple(range(5)), tuple(range(5, 16))
+        )
+        assert ShardMap(16, 4, weights).blocks() == (
+            (0,), tuple(range(1, 6)), tuple(range(6, 11)),
+            tuple(range(11, 16)),
+        )
+
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 2.0), (1.0, -1.0, 1.0), (1.0, float("nan"), 1.0)]
+    )
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ConfigError, match="weight"):
+            ShardMap(3, 2, weights)
+
+
 class TestMailboxGuards:
     def test_latency_below_lookahead_rejected(self):
         mailbox = Mailbox(Environment(), LOOKAHEAD)
@@ -452,6 +545,19 @@ class TestForkBackendToyWorld:
         assert stats.backend == "fork"
         assert stats.messages_exchanged > 0
 
+    def test_fork_reports_per_shard_compute_and_wait(self):
+        schedule = [(0, 0, 1, 0, 2), (400, 2, 0, 150, 2)]
+        _, stats = _run(3, 3, schedule, backend="fork")
+        assert len(stats.compute_s) == len(stats.wait_s) == 3
+        assert all(t >= 0.0 for t in stats.compute_s + stats.wait_s)
+        doc = stats.to_dict()
+        assert (doc["compute_s"], doc["wait_s"]) == (
+            stats.compute_s, stats.wait_s
+        )
+        # Host timings never decide equality.
+        assert dataclasses.replace(stats, compute_s=[], wait_s=[]) == stats
+        assert stats != dataclasses.replace(stats, barriers=stats.barriers + 1)
+
     def test_worker_failure_surfaces_as_shard_sync_error(self):
         class ExplodingWorld(EchoWorld):
             def _on_msg(self, msg):
@@ -481,3 +587,34 @@ class TestRunShardedValidation:
     def test_more_shards_than_domains_rejected(self):
         with pytest.raises(ConfigError):
             ShardMap(2, 3)
+
+
+class TestClusterBalance:
+    """The cost-weighted partition on the real cluster model: its cost
+    model tracks measured per-domain work, and the 2-shard split of
+    ``cluster_scale`` is balanced.  The count split put the monitored
+    stack and seven more racks on shard 0: 1.33x shard 1's events in
+    this run, 1.70x at 0.05 sim-s."""
+
+    def test_two_shard_cluster_scale_is_balanced(self):
+        stats = run_cluster(
+            "cluster_scale", seed=7, sim_s=0.02, shards=2, backend="inline"
+        ).shard_stats
+        events = stats.events_per_shard
+        assert max(events) / min(events) <= 1.15, events
+        assert len(stats.compute_s) == len(stats.wait_s) == 2
+        assert all(c > 0.0 for c in stats.compute_s)
+        assert stats.wait_s == [0.0, 0.0]  # inline: nothing waits
+
+    @pytest.mark.parametrize("preset", sorted(CLUSTER_SPECS))
+    def test_cost_model_predicts_per_domain_shares(self, preset):
+        spec = cluster_spec(preset)
+        n_domains = spec.domain_plan().n_domains
+        measured = run_cluster(
+            spec, seed=7, sim_s=0.05, shards=n_domains, backend="inline"
+        ).shard_stats.events_per_shard
+        predicted = predicted_domain_events(spec, 0.05)
+        for d in range(n_domains):
+            share = predicted[d] / sum(predicted)
+            actual = measured[d] / sum(measured)
+            assert abs(share / actual - 1.0) <= 0.20, (d, predicted, measured)

@@ -148,6 +148,37 @@ class TestDiskRestore:
                 checkpoint_dir=ckpt, checkpoint_every=4, restore=True,
             )
 
+    @pytest.mark.parametrize("forged", ["other-map", "unrecorded"])
+    def test_restore_refuses_a_checkpoint_from_another_shard_map(
+        self, tmp_path, forged
+    ):
+        """A journal replays only into shards that own the same
+        domains.  A checkpoint written under another map — forged here,
+        or one that predates the recorded map and so was written under
+        the count split {0,1 | 2,3} — is refused before any replay,
+        naming the field."""
+        ckpt = tmp_path / "ckpt"
+        run_cluster(
+            SMOKE, seed=7, shards=2, backend="inline",
+            checkpoint_dir=ckpt, checkpoint_every=4,
+        )
+        payload = load_checkpoint(list_checkpoints(ckpt)[-1])
+        assert payload["shard_map"] == [[0], [1, 2, 3]]
+        if forged == "other-map":
+            payload["shard_map"] = [[0, 1], [2, 3]]
+        else:
+            del payload["shard_map"]
+        tampered = CheckpointConfig(dir=tmp_path / "tampered")
+        save_checkpoint(tampered, payload)
+        with pytest.raises(
+            CheckpointError, match=r"shard_map is \[\[0, 1\], \[2, 3\]\]"
+        ):
+            run_cluster(
+                SMOKE, seed=7, shards=2, backend="inline",
+                checkpoint_dir=tampered.dir, checkpoint_every=4,
+                restore=True,
+            )
+
     def test_restore_from_empty_directory_is_a_fresh_run(
         self, serial_reference, tmp_path
     ):
