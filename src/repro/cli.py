@@ -598,33 +598,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        WORKLOADS,
-        render_benchmarks,
-        run_benchmarks,
-        write_bench_json,
-    )
-
-    if args.list:
-        for name, (_fn, description) in WORKLOADS.items():
-            print(f"{name:22s} {description}")
-        return 0
-    log = get_logger()
-    try:
-        doc = run_benchmarks(
-            names=args.names or None, rounds=args.rounds, progress=log.debug
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(render_benchmarks(doc))
-    if args.output:
-        write_bench_json(args.output, doc)
-        log.info(f"benchmark document written to {args.output}")
-    return 0
-
-
 def _parse_seeds(text: str) -> List[int]:
     """'8' -> seeds 0..7; '3:7' -> [3..6]; '1,5,9' -> that list."""
     t = text.strip()
@@ -1274,25 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on the first one (default off)",
     )
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the dependency-free perf benchmarks (best-of-N process "
-        "time) and optionally write BENCH_perf.json",
-    )
-    add_verbosity_args(bench)
-    bench.add_argument("names", nargs="*", help="benchmark names (see --list)")
-    bench.add_argument("--list", action="store_true", help="list benchmarks")
-    bench.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="runs per benchmark; the best (minimum) time is reported",
-    )
-    bench.add_argument(
-        "-o", "--output", help="write the JSON document (e.g. BENCH_perf.json)"
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     policies = sub.add_parser("policies", help="list registered pricing policies")
     add_verbosity_args(policies)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import FabricError
 from repro.sim import invariants
 from repro.sim.core import Environment
@@ -45,25 +43,6 @@ _MEMO_MAX_TRANSFERS = 24
 #: new) would otherwise pay key construction forever for ~0% hits.
 _MEMO_PROBATION_LOOKUPS = 1024
 _MEMO_MIN_HIT_RATE = 0.05
-
-#: Active-set size at which ``maxmin_rates`` switches to the vectorized
-#: numpy fixed point.  Below it the pure-Python loop wins (array setup
-#: costs more than the solve); above it each round is a handful of
-#: O(membership) numpy kernels instead of a Python rescan of every
-#: link's member list.  Both paths are bit-identical by construction
-#: (see ``_maxmin_rates_numpy``), so the gate is a pure performance
-#: knob — the published two-host goldens always take the pure path.
-_VECTOR_MIN_TRANSFERS = 48
-
-#: Involved-link count below which the pure loop is kept even for large
-#: active sets.  The loop does at most one freezing round per involved
-#: link, so with a handful of links its total cost is a few cheap
-#: membership scans and the numpy path's O(transfers) array setup can
-#: never amortize (a 4k-transfer/3-link churn is ~3x slower
-#: vectorized).  Many links means many rounds — that is where each
-#: round collapsing to C-speed kernels wins.
-_VECTOR_MIN_LINKS = 8
-
 
 class NetLink:
     """One unidirectional link (or link direction) with fixed capacity."""
@@ -176,7 +155,6 @@ def maxmin_rates(
     transfers: Sequence[Transfer],
     capacity_of: Callable[[NetLink], float],
     ts_ns: int = -1,
-    n_links: Optional[int] = None,
 ) -> Dict[Transfer, float]:
     """Progressive-filling *weighted* max-min fair allocation.
 
@@ -186,21 +164,6 @@ def maxmin_rates(
     With unit weights this is classic max-min.  Fully deterministic:
     all iteration follows submission order (no set-ordered float sums),
     and ties are broken by link name.
-
-    Two implementations share this entry point: the pure-Python loop
-    (small active sets, and the reference semantics) and a vectorized
-    numpy fixed point used from ``_VECTOR_MIN_TRANSFERS`` transfers up.
-    They are bit-identical — the numpy path reproduces the exact
-    left-to-right float arithmetic of the loop (see
-    ``_maxmin_rates_numpy``) and falls back to the loop for degenerate
-    inputs it cannot, so which one ran is unobservable in the results.
-
-    ``n_links``, when the caller already knows it (the fabric maintains
-    per-link membership), is the number of distinct links the transfers
-    touch; vectorizing only pays off when both the active set and the
-    link set are large (see ``_VECTOR_MIN_LINKS``).  Without the hint a
-    bounded scan counts distinct links, stopping as soon as enough are
-    seen.
     """
     active = list(transfers)
     if not active:
@@ -208,20 +171,7 @@ def maxmin_rates(
     for t in active:
         if t.weight <= 0:
             raise FabricError(f"transfer weight must be > 0, got {t.weight}")
-    rates: Optional[Dict[Transfer, float]] = None
-    if len(active) >= _VECTOR_MIN_TRANSFERS:
-        if n_links is None:
-            seen = set()
-            for t in active:
-                for link in t.path:
-                    seen.add(id(link))
-                if len(seen) >= _VECTOR_MIN_LINKS:
-                    break
-            n_links = len(seen)
-        if n_links >= _VECTOR_MIN_LINKS:
-            rates = _maxmin_rates_numpy(active, capacity_of)
-    if rates is None:
-        rates = _maxmin_rates_python(active, capacity_of)
+    rates = _maxmin_rates_python(active, capacity_of)
     # Runtime invariant guards (fabric.rate_nonnegative /
     # fabric.link_capacity): off-mode costs one attribute load and
     # branch; an enabled monitor re-walks the solution once.
@@ -297,104 +247,6 @@ def _maxmin_rates_python(
                 del unfrozen[t]
                 for link in t.path:
                     cap_left[link] = cap_left[link] - rate
-    return rates
-
-
-def _maxmin_rates_numpy(
-    active: List[Transfer],
-    capacity_of: Callable[[NetLink], float],
-) -> Optional[Dict[Transfer, float]]:
-    """Vectorized progressive filling over per-link membership arrays.
-
-    Returns ``None`` for inputs it cannot reproduce exactly (an empty
-    path, or a degenerate path visiting one link twice) — the caller
-    then takes the pure loop.  For everything else the result is
-    **bit-identical** to ``_maxmin_rates_python``, by construction:
-
-    * Per-link weight sums use ``np.bincount``, whose C kernel is one
-      sequential pass accumulating ``out[link[i]] += w[i]`` in array
-      order.  Membership is laid out link-major with each link's
-      entries in submission order, so every bin's partial sums are the
-      same left-to-right float additions the loop performs.  Frozen
-      members contribute ``+0.0``, the floating-point identity for the
-      non-negative partial sums involved (weights are > 0), exactly
-      like the loop's compaction that merely skips them.
-    * The bottleneck link minimizes ``(share, name)`` with shares
-      computed from the very same floats (``max(cap_left, 0.0) /
-      weight_sum``); exact float equality selects the tie set and a
-      precomputed name rank breaks ties, matching the loop's scan.
-    * Frozen transfers are processed in membership (= submission)
-      order and their path capacities decremented per transfer with
-      the same ``cap -= rate`` operation, in the same sequence.
-    """
-    link_order: List[NetLink] = []
-    link_index: Dict[NetLink, int] = {}
-    members_tid: List[List[int]] = []
-    path_rows: List[List[int]] = []
-    for ti, t in enumerate(active):
-        path = t.path
-        if not path:
-            return None
-        row = []
-        for link in path:
-            li = link_index.get(link)
-            if li is None:
-                li = link_index[link] = len(link_order)
-                link_order.append(link)
-                members_tid.append([])
-            members_tid[li].append(ti)
-            row.append(li)
-        if len(row) > 1 and len(set(row)) != len(row):
-            return None
-        path_rows.append(row)
-
-    n_links = len(link_order)
-    n_active = len(active)
-    mem_link = np.concatenate(
-        [np.full(len(lst), li, dtype=np.intp)
-         for li, lst in enumerate(members_tid)]
-    )
-    mem_tid = np.array(
-        [ti for lst in members_tid for ti in lst], dtype=np.intp
-    )
-    weights = np.array([t.weight for t in active], dtype=np.float64)
-    mem_w = weights[mem_tid]
-    cap_left = np.array(
-        [capacity_of(link) for link in link_order], dtype=np.float64
-    )
-    # Rank of each link's name in sorted order: the loop's tie-break.
-    name_rank = np.empty(n_links, dtype=np.intp)
-    name_rank[
-        sorted(range(n_links), key=lambda li: link_order[li].name)
-    ] = np.arange(n_links)
-
-    t_alive = np.ones(n_active, dtype=bool)
-    rates: Dict[Transfer, float] = {}
-    n_left = n_active
-    while n_left:
-        wsum = np.bincount(
-            mem_link, weights=mem_w * t_alive[mem_tid], minlength=n_links
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = np.maximum(cap_left, 0.0) / wsum
-        shares[wsum == 0.0] = np.inf
-        best_share_f = shares.min()
-        if not best_share_f < math.inf:
-            # No links constrain the remaining transfers (cannot happen
-            # for non-empty paths, but guard against it).
-            raise FabricError("max-min: transfers with no constraining link")
-        tie = np.flatnonzero(shares == best_share_f)
-        best = int(tie[np.argmin(name_rank[tie])]) if len(tie) > 1 else int(tie[0])
-        best_share = float(best_share_f)
-        frozen_tids = mem_tid[(mem_link == best) & t_alive[mem_tid]]
-        for ti in frozen_tids.tolist():
-            t = active[ti]
-            rate = best_share * t.weight
-            rates[t] = rate
-            for li in path_rows[ti]:
-                cap_left[li] -= rate
-        t_alive[frozen_tids] = False
-        n_left -= len(frozen_tids)
     return rates
 
 
@@ -577,18 +429,13 @@ class FluidFabric:
                     link._util_integral += (link.rate_sum / cap) * dt
         self._last_advance = now
 
-    def _solve(
-        self, transfers: List[Transfer], n_links: Optional[int] = None
-    ) -> Tuple[float, ...]:
+    def _solve(self, transfers: List[Transfer]) -> Tuple[float, ...]:
         """Max-min rates for ``transfers``, memoized.
 
         The key is the exact normalized subproblem — ordered
         ``(path names, weight)`` per transfer plus the current capacity
         of every involved link — so a cache hit returns the very floats
         a fresh solve would produce and byte-identity is preserved.
-        ``n_links`` is the caller's involved-link count (the fabric
-        maintains it), forwarded so the solver's vectorization gate
-        never has to rescan paths.
         """
         if not transfers:
             return ()
@@ -598,7 +445,6 @@ class FluidFabric:
                 transfers,
                 lambda link: link.capacity_bytes_per_ns,
                 ts_ns=self.env.now,
-                n_links=n_links,
             )
             return tuple(rates[t] for t in transfers)
         lookups = self._memo_lookups + 1
@@ -616,7 +462,6 @@ class FluidFabric:
                 transfers,
                 lambda link: link.capacity_bytes_per_ns,
                 ts_ns=self.env.now,
-                n_links=n_links,
             )
             return tuple(rates[t] for t in transfers)
         # The transfers' shapes fix the involved links and their
@@ -637,7 +482,6 @@ class FluidFabric:
                 transfers,
                 lambda link: link.capacity_bytes_per_ns,
                 ts_ns=self.env.now,
-                n_links=n_links,
             )
             cached = tuple(rates[t] for t in transfers)
             if len(self._solve_cache) >= 4096:
@@ -698,12 +542,12 @@ class FluidFabric:
                     stats["component_transfers"] += len(aff)
                     if len(aff) > stats["max_component"]:
                         stats["max_component"] = len(aff)
-                    self._set_rates(aff, self._solve(aff, len(linkset)))
+                    self._set_rates(aff, self._solve(aff))
                     return
         stats = self.solver_stats
         stats["global_solves"] += 1
         stats["global_transfers"] += len(active)
-        self._set_rates(active, self._solve(active, len(self._members)))
+        self._set_rates(active, self._solve(active))
 
     @staticmethod
     def _set_rates(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import hashlib
 import importlib
 import json
 import os
@@ -46,7 +45,7 @@ import pathlib
 from typing import Any, Callable, Dict, Optional
 
 from repro._version import __version__
-from repro.durable import atomic_write
+from repro.durable import atomic_write, canonical_digest
 from repro.errors import CacheCorruption, Uncacheable
 
 #: Payload schema identifier; bump when the stored document shape
@@ -208,8 +207,7 @@ def cell_key(
             {k: v for k, v in spec.items() if k not in EXECUTION_ONLY_KEYS}
         ),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(doc)
 
 
 class ResultCache:

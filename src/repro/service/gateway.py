@@ -22,8 +22,8 @@ mid-request tears down its session's tasks and nothing else.
 Every completed request contributes a wall-clock latency sample
 (enqueue to response written).  Samples are emitted on the telemetry
 bus as ``service``-category spans and aggregated into
-:meth:`ServiceGateway.stats` percentiles — the gateway-overhead
-numbers ``repro bench service_throughput`` reports.
+:meth:`ServiceGateway.stats` percentiles.  End-to-end throughput of
+the served path is the ``served`` workload of ``perfbench/``.
 """
 
 from __future__ import annotations

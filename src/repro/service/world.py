@@ -41,13 +41,12 @@ is what makes the sim-mode response-log golden byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.durable import atomic_write
+from repro.durable import atomic_write, canonical_digest
 from repro.errors import AdmissionError, CheckpointError, ConfigError
 from repro.experiments.platform import Node, Testbed
 from repro.resex import ResExController, policy_by_name
@@ -429,11 +428,6 @@ class ResExWorld:
 WORLD_FILE_SCHEMA = "resex-world-file/1"
 
 
-def _snapshot_digest(snap: Dict[str, Any]) -> str:
-    blob = json.dumps(snap, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def save_world_snapshot(path: str, snap: Dict[str, Any]) -> str:
     """Atomically persist a world snapshot, digest-stamped.
 
@@ -441,7 +435,7 @@ def save_world_snapshot(path: str, snap: Dict[str, Any]) -> str:
     mid-write can never leave a half snapshot under the final name.
     Returns the snapshot's content digest.
     """
-    digest = _snapshot_digest(snap)
+    digest = canonical_digest(snap)
     doc = {"schema": WORLD_FILE_SCHEMA, "digest": digest, "snapshot": snap}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     atomic_write(path, text.encode("utf-8"))
@@ -476,7 +470,7 @@ def load_world_snapshot(path: str) -> Dict[str, Any]:
             f"world snapshot {path} payload is "
             f"{type(snap).__name__}, not a mapping"
         )
-    digest = _snapshot_digest(snap)
+    digest = canonical_digest(snap)
     if digest != doc.get("digest"):
         raise CheckpointError(
             f"world snapshot {path} digest mismatch: stamped "

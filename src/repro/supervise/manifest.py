@@ -37,7 +37,6 @@ the crash being resumed from) count as pending again.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -45,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
+from repro.durable import canonical_digest
 from repro.errors import CacheCorruption, ConfigError, Uncacheable
 from repro.parallel.cache import canonical, uncanonical
 from repro.parallel.engine import SweepJob
@@ -83,8 +83,7 @@ def result_digest(metrics: Dict[str, Any]) -> str:
     The digest is the identity of a result: a retried or resumed cell
     proves it reproduced the uninterrupted outcome by matching it.
     """
-    blob = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(metrics)
 
 
 @dataclass

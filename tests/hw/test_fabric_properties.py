@@ -157,15 +157,12 @@ class ReferenceFabric(FluidFabric):
                 t.done.succeed(t)
         self._schedule_next()
 
-    def _solve(self, transfers, n_links=None):
+    def _solve(self, transfers):
         if not transfers:
             return ()
 
         def solve():
-            rates = maxmin_rates(
-                transfers, lambda link: link.capacity_bps / SEC,
-                n_links=n_links,
-            )
+            rates = maxmin_rates(transfers, lambda link: link.capacity_bps / SEC)
             return tuple(rates[t] for t in transfers)
 
         if len(transfers) > 24 or not self._memo_enabled:

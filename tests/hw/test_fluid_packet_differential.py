@@ -29,15 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import FluidFabric
-from repro.hw.fabric import (
-    PacketLink,
-    Transfer,
-    _maxmin_rates_numpy,
-    _maxmin_rates_python,
-    maxmin_rates,
-)
+from repro.hw.fabric import PacketLink, maxmin_rates
 from repro.sim import Environment
-from repro.sim.events import Event
 from repro.telemetry import TelemetryBus
 from repro.units import SEC, GiB, KiB
 
@@ -219,94 +212,6 @@ def test_incremental_reconvergence_matches_global_solve(
     assert checked["leaves"] == len(sizes)
     for t in fabric.active_transfers:  # pragma: no cover - sanity
         raise AssertionError(f"transfer left active: {t!r}")
-
-
-# -- vectorized solver differential ------------------------------------------
-#
-# ``maxmin_rates`` dispatches to a numpy fixed-point above
-# ``_VECTOR_MIN_TRANSFERS``; its contract is *bit identity* with the
-# pure-Python reference — same floats, same freeze order — so the
-# dispatch threshold can never change a simulation.  This strategy
-# draws randomized multi-link topologies (weights, capacities, path
-# shapes, well past the dispatch threshold in size) and compares the
-# two implementations directly.
-
-_solver_cases = st.integers(min_value=2, max_value=10).flatmap(
-    lambda n_links: st.tuples(
-        st.just(n_links),
-        st.lists(  # per-link capacity multipliers (distinct scales)
-            st.floats(min_value=0.05, max_value=4.0,
-                      allow_nan=False, allow_infinity=False),
-            min_size=n_links, max_size=n_links,
-        ),
-        st.lists(  # one (path, weight) per transfer
-            st.tuples(
-                st.sets(
-                    st.integers(min_value=0, max_value=n_links - 1),
-                    min_size=1, max_size=min(n_links, 4),
-                ),
-                st.one_of(
-                    st.just(1.0),
-                    st.floats(min_value=0.125, max_value=8.0,
-                              allow_nan=False, allow_infinity=False),
-                ),
-            ),
-            min_size=1, max_size=80,
-        ),
-    )
-)
-
-
-@given(case=_solver_cases)
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_numpy_solver_is_bit_identical_to_python_reference(case):
-    """The vectorized solver must reproduce the reference solver's
-    result dict exactly: identical float rates AND identical insertion
-    (freeze) order, on arbitrary multi-link topologies."""
-    n_links, cap_mults, flows = case
-    env = Environment()
-    fabric = FluidFabric(env)
-    links = [
-        fabric.add_link(f"l{i}", CAPACITY * cap_mults[i])
-        for i in range(n_links)
-    ]
-    transfers = [
-        Transfer(
-            i,
-            tuple(links[li] for li in sorted(path_links)),
-            1,
-            Event(env),
-            0,
-            f"t{i}",
-            weight=weight,
-        )
-        for i, (path_links, weight) in enumerate(flows)
-    ]
-
-    def capacity_of(link):
-        return link.capacity_bytes_per_ns
-
-    reference = _maxmin_rates_python(transfers, capacity_of)
-    vectorized = _maxmin_rates_numpy(transfers, capacity_of)
-    assert vectorized is not None  # paths are non-empty and duplicate-free
-    # Bit-identical values *and* identical freeze order.
-    assert list(vectorized.items()) == list(reference.items())
-    # The public dispatcher agrees with both, whichever path it takes.
-    dispatched = maxmin_rates(transfers, capacity_of)
-    assert list(dispatched.items()) == list(reference.items())
-
-
-def test_numpy_solver_declines_degenerate_paths():
-    """Duplicate links within one path fall back to the reference
-    solver (returns None) rather than risking a divergent sum order."""
-    env = Environment()
-    fabric = FluidFabric(env)
-    link = fabric.add_link("l", CAPACITY)
-    twice = Transfer(0, (link, link), 1, Event(env), 0, "t0")
-    assert _maxmin_rates_numpy([twice], lambda li: li.capacity_bytes_per_ns) is None
-    # The dispatcher still solves it via the reference path.
-    rates = maxmin_rates([twice], lambda li: li.capacity_bytes_per_ns)
-    assert rates[twice] > 0.0
 
 
 @given(sizes=_sizes, gaps=_gaps)
