@@ -10,7 +10,7 @@ import pathlib
 
 from repro.analysis import interference_reduction_pct, render_table
 from repro.benchex import INTERFERER_2MB
-from repro.experiments.multiseed import replicate_comparison
+from repro.experiments.multiseed import sweep_comparison
 from repro.resex import IOShares
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -19,7 +19,7 @@ SEEDS = [3, 7, 11]
 
 def test_robustness_across_seeds(benchmark, capsys):
     def run():
-        return replicate_comparison(
+        return sweep_comparison(
             SEEDS,
             {
                 "base": dict(sim_s=0.8),
@@ -28,7 +28,7 @@ def test_robustness_across_seeds(benchmark, capsys):
                     interferer=INTERFERER_2MB, policy=IOShares(), sim_s=1.2
                 ),
             },
-        )
+        )[0]
     reps = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
 
     rows = [

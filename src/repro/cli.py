@@ -11,31 +11,58 @@ Examples::
 
 Status messages go to stderr through the shared telemetry logger, so
 ``--quiet`` / ``--verbose`` behave uniformly across subcommands while
-stdout stays clean for experiment output.
+stdout stays clean for experiment output.  Options that mean the same
+thing everywhere come from one set of shared option groups, every
+``--json`` document is printed by :func:`_emit`, and every failure is a
+:class:`~repro.errors.ReproError` that only :func:`main` maps to an exit
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import pathlib
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError, SweepError
 from repro.telemetry import configure as configure_logging
 from repro.telemetry import get_logger
 from repro.units import KiB, MiB
 
 
-def _invariant_scope(mode: str):
-    """A context manager activating invariant guards for a command."""
-    from contextlib import nullcontext
+def _emit(doc) -> None:
+    """Print one ``--json`` document (the only JSON writer on stdout)."""
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
+
+@contextmanager
+def _invariant_guards(mode: str):
+    """Run a command under ``--invariants``: yields the monitor (``None``
+    when off) and warns on exit when it recorded violations."""
+    if mode == "off":
+        yield None
+        return
     from repro.sim import invariants
 
-    return invariants.activate(mode) if mode != "off" else nullcontext()
+    with invariants.activate(mode) as monitor:
+        yield monitor
+    if monitor.tainted:
+        get_logger().warning(
+            f"invariant guards recorded {len(monitor.violations)} "
+            f"violation(s); results are tainted"
+        )
+
+
+def _interferer(size: int, **config):
+    """The interfering VM's BenchEx config for an ``--interferer`` size."""
+    from repro.benchex import BenchExConfig
+
+    return BenchExConfig(name="interferer", buffer_bytes=size, **config)
 
 
 def _parse_size(text: str) -> int:
@@ -52,10 +79,8 @@ def _parse_size(text: str) -> int:
         ) from None
 
 
-def _format_size(nbytes) -> str:
+def _format_size(nbytes: int) -> str:
     """Inverse of :func:`_parse_size` for display ('2MB', '64KB', '123')."""
-    if isinstance(nbytes, str) or nbytes is None:
-        return str(nbytes)
     if nbytes and nbytes % MiB == 0:
         return f"{nbytes // MiB}MB"
     if nbytes and nbytes % KiB == 0:
@@ -63,9 +88,20 @@ def _format_size(nbytes) -> str:
     return str(nbytes)
 
 
+def _given(args: argparse.Namespace, **defaults) -> List[str]:
+    """The flags among ``defaults`` (``dest=default``) given another value."""
+    return [
+        f"--{dest.replace('_', '-')}"
+        for dest, default in defaults.items()
+        if getattr(args, dest) != default
+    ]
+
+
 def _run_experiment_set(
     args: argparse.Namespace, registry_name: str, registry: dict
 ) -> int:
+    from repro.experiments.suite import run_registry_set
+
     if args.list:
         for name, fn in registry.items():
             doc = (fn.__doc__ or "").strip().splitlines()
@@ -74,42 +110,24 @@ def _run_experiment_set(
 
     names = list(registry) if args.all else args.names
     if not names:
-        print(
-            "nothing selected (use --all, --list, or name experiments)",
-            file=sys.stderr,
+        raise ConfigError(
+            "nothing selected (use --all, --list, or name experiments)"
         )
-        return 2
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        print(f"unknown experiments: {unknown}; try --list", file=sys.stderr)
-        return 2
-
     if args.scale:
         os.environ["REPRO_SCALE"] = args.scale
+
+    log = get_logger()
+    log.debug(f"running {len(names)} experiment(s) on {args.jobs} worker(s)...")
+    results, report = run_registry_set(
+        registry_name, names, seed=args.seed, jobs=args.jobs
+    )
+    log.debug(report.render())
+
     out_dir: Optional[pathlib.Path] = None
     if args.out:
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    log = get_logger()
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1:
-        from repro.experiments.suite import run_registry_set
-
-        log.debug(f"fanning {len(names)} experiments to {jobs} workers...")
-        results, report = run_registry_set(
-            registry_name, names, seed=args.seed, jobs=jobs
-        )
-        log.debug(report.render())
-    else:
-        results = None
-
-    for name in names:
-        if results is not None:
-            result = results[name]
-        else:
-            log.debug(f"running {name}...")
-            result = registry[name](seed=args.seed)
+    for name, result in results.items():
         text = result.render()
         print(text)
         print()
@@ -137,17 +155,14 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.analysis import render_table
-    from repro.benchex import BenchExConfig
     from repro.experiments import run_scenario
 
     interferer = None
     if args.interferer:
-        interferer = BenchExConfig(
-            name="interferer",
-            buffer_bytes=args.interferer,
-            pipeline_depth=args.interferer_depth,
+        interferer = _interferer(
+            args.interferer, pipeline_depth=args.interferer_depth
         )
-    with _invariant_scope(args.invariants) as monitor:
+    with _invariant_guards(args.invariants):
         result = run_scenario(
             "cli",
             interferer=interferer,
@@ -156,12 +171,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             n_servers=args.servers,
             sim_s=args.sim_s,
             seed=args.seed,
-        )
-    if monitor is not None and monitor.tainted:
-        log = get_logger()
-        log.warning(
-            f"invariant guards recorded {len(monitor.violations)} "
-            f"violation(s); results are tainted"
         )
     b = result.breakdown
     print(
@@ -186,8 +195,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.analysis import render_table
     from repro.experiments.cluster import CLUSTER_SPECS, run_cluster
     from repro.supervise.manifest import result_digest
@@ -209,7 +216,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         kill = parse_worker_kill(args.kill_worker)
         worker_faults.append(kill)
 
-    with _invariant_scope(args.invariants) as monitor:
+    with _invariant_guards(args.invariants) as monitor:
         result = run_cluster(
             args.preset, seed=args.seed, sim_s=args.sim_s,
             shards=args.shards, backend=args.shard_backend,
@@ -224,12 +231,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"--kill-worker {args.kill_worker} never fired (the run had "
             "fewer barriers than its trigger)"
         )
-    tainted = monitor is not None and monitor.tainted
-    if tainted:
-        get_logger().warning(
-            f"invariant guards recorded {len(monitor.violations)} "
-            f"violation(s); results are tainted"
-        )
 
     metrics = result.metrics()
     if args.json:
@@ -237,7 +238,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "preset": args.preset,
             "seed": args.seed,
             "shards": args.shards,
-            "tainted": tainted,
+            "tainted": monitor is not None and monitor.tainted,
             # The canonical digest of the metrics dict: the value the
             # shard differential (serial == N-shard) is held to in CI.
             "digest": result_digest(metrics),
@@ -245,7 +246,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         }
         if result.shard_stats is not None:
             doc["shard_stats"] = result.shard_stats.to_dict()
-        print(_json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
         return 0
     print(
         render_table(
@@ -262,8 +263,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile one cluster preset or scenario run."""
-    import json as _json
-
     from repro.analysis.profiling import profile_call, write_collapsed
     from repro.experiments.cluster import CLUSTER_SPECS
 
@@ -282,9 +281,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro.experiments.scenarios import run_scenario
 
         if args.shards > 1:
-            print("error: --shards applies to cluster presets only",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--shards applies to cluster presets only")
 
         def runner():
             kwargs = {}
@@ -301,7 +298,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"{args.collapsed}"
         )
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _emit(report.to_dict())
     else:
         print(f"profile: {args.target} (seed={args.seed})")
         print(report.render(), end="")
@@ -389,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Fire a seeded synthetic load at a running service gateway."""
     import asyncio
-    import json as _json
 
     from repro.service import run_loadgen
 
@@ -407,7 +403,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     )
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _emit(report.to_dict())
     else:
         print(report.render())
     return 0
@@ -439,15 +435,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 #: spans into the trace.
 TRACE_PRESETS = {
     "base": {"interferer": None, "policy": None},
-    "interfered": {"interferer": "2MB", "policy": None},
-    "managed": {"interferer": "2MB", "policy": "ioshares"},
-    "fig1": {"interferer": "2MB", "policy": "ioshares"},
+    "interfered": {"interferer": 2 * MiB, "policy": None},
+    "managed": {"interferer": 2 * MiB, "policy": "ioshares"},
+    "fig1": {"interferer": 2 * MiB, "policy": "ioshares"},
 }
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis import write_chrome_trace, write_telemetry_csv
-    from repro.benchex import BenchExConfig
     from repro.experiments import run_scenario
     from repro.telemetry import TelemetryBus
 
@@ -457,24 +452,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         preset["interferer"] = args.interferer or None
     if args.policy is not None:
         preset["policy"] = args.policy or None
-
-    interferer = None
     size = preset["interferer"]
-    if size:
-        interferer = BenchExConfig(
-            name="interferer",
-            buffer_bytes=_parse_size(size) if isinstance(size, str) else size,
-        )
 
     bus = TelemetryBus(kernel_dispatch=args.kernel_events)
     log.debug(
         f"tracing scenario {args.scenario!r} "
-        f"(interferer={_format_size(preset['interferer']) if preset['interferer'] else 'none'}, "
+        f"(interferer={_format_size(size) if size else 'none'}, "
         f"policy={preset['policy'] or 'none'}, sim_s={args.sim_s})"
     )
     run_scenario(
         args.scenario,
-        interferer=interferer,
+        interferer=_interferer(size) if size else None,
         policy=preset["policy"],
         sim_s=args.sim_s,
         seed=args.seed,
@@ -512,11 +500,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.policy is not None:
         overrides["policy"] = args.policy or None
     if args.interferer is not None:
-        from repro.benchex import BenchExConfig
-
-        overrides["interferer"] = BenchExConfig(
-            name="interferer", buffer_bytes=args.interferer
-        )
+        overrides["interferer"] = _interferer(args.interferer)
 
     if args.dry_run:
         print(
@@ -541,8 +525,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         return 0
 
-    bus = TelemetryBus() if args.trace else None
     if args.compare:
+        ignored = _given(args, json=False, trace=None, invariants="off")
+        if ignored:
+            raise ConfigError(
+                f"--compare prints only the degradation table; drop "
+                f"{', '.join(ignored)}"
+            )
         reports = {}
         for variant, preset in sorted(CHAOS_SCENARIOS.items()):
             if preset["policy"] is None:
@@ -563,7 +552,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"running chaos scenario {args.scenario!r} "
         f"(campaign={campaign.name}, sim_s={args.sim_s})"
     )
-    with _invariant_scope(args.invariants) as monitor:
+    bus = TelemetryBus() if args.trace else None
+    with _invariant_guards(args.invariants) as monitor:
         chaos = run_chaos_scenario(
             args.scenario,
             campaign=campaign,
@@ -572,25 +562,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             telemetry=bus,
             **overrides,
         )
-    tainted = monitor is not None and monitor.tainted
     if args.json:
-        import json
-
         doc = chaos.report.to_dict()
         if monitor is not None:
             doc["integrity"] = {
-                "tainted": tainted,
+                "tainted": monitor.tainted,
                 "invariant_mode": args.invariants,
                 "violations": monitor.to_dicts(),
             }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc)
     else:
         print(chaos.report.render())
-    if tainted:
-        log.warning(
-            f"invariant guards recorded {len(monitor.violations)} "
-            f"violation(s); results are tainted"
-        )
     if args.trace:
         out = pathlib.Path(args.trace)
         n = write_chrome_trace(out, bus)
@@ -618,146 +600,24 @@ def _parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def _metrics_json(metrics: dict) -> dict:
-    return {
-        key: {
-            "values": list(rep.values),
-            "mean": rep.mean,
-            "std": rep.std,
-            "median": rep.median,
-            "ci95_halfwidth": rep.ci95_halfwidth(),
-            "n_nonfinite": rep.n_nonfinite,
-        }
-        for key, rep in metrics.items()
-    }
-
-
-def _render_metrics_table(metrics: dict, title: str) -> str:
-    from repro.analysis import render_table
-
-    rows = [
-        [
-            key,
-            rep.mean,
-            rep.ci95_halfwidth(),
-            rep.median,
-            rep.minimum,
-            rep.maximum,
-            float(rep.n_nonfinite),
-        ]
-        for key, rep in metrics.items()
-    ]
-    return render_table(
-        ["metric", "mean", "ci95", "median", "min", "max", "n inf"],
-        rows,
-        title=title,
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.errors import SweepError
-    from repro.experiments.multiseed import (
-        CHAOS_METRICS,
-        sweep_chaos,
-        sweep_scenario,
-    )
-
-    log = get_logger()
-    cache = None if args.no_cache else args.cache_dir
-    kwargs = {"sim_s": args.sim_s}
-    if args.interferer:
-        from repro.benchex import BenchExConfig
-
-        kwargs["interferer"] = BenchExConfig(
-            name="interferer", buffer_bytes=args.interferer
-        )
-    if args.policy is not None:
-        kwargs["policy"] = args.policy or None
-
-    if args.supervise or args.resume:
-        return _run_supervised_sweep(args, cache, kwargs, log)
-
-    log.debug(
-        f"sweeping {args.name!r} over {len(args.seeds)} seeds "
-        f"(jobs={args.jobs}, cache={cache or 'off'})"
-    )
-    try:
-        with _invariant_scope(args.invariants):
-            if args.campaign:
-                replications, report = sweep_chaos(
-                    args.name,
-                    args.seeds,
-                    campaign=args.campaign,
-                    jobs=args.jobs,
-                    cache=cache,
-                    **kwargs,
-                )
-                metrics = {m: replications[m] for m in CHAOS_METRICS}
-            else:
-                replication, report = sweep_scenario(
-                    args.name, args.seeds, jobs=args.jobs, cache=cache, **kwargs
-                )
-                metrics = {"total_mean": replication}
-    except SweepError as exc:
-        if args.json:
-            import json
-
-            print(
-                json.dumps(
-                    {
-                        "error": str(exc).splitlines()[0],
-                        "code": exc.code,
-                        "cell_errors": [
-                            {
-                                "label": label,
-                                "error": err.splitlines()[0] if err else "",
-                            }
-                            for label, err in exc.cell_errors
-                        ],
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return exc.exit_code
-        raise
-
-    if args.json:
-        import json
-
-        doc = {
-            "name": args.name,
-            "campaign": args.campaign,
-            "seeds": args.seeds,
-            "jobs": args.jobs,
-            "metrics": _metrics_json(metrics),
-            "report": report.to_dict(),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(
-            _render_metrics_table(
-                metrics,
-                f"sweep {args.name!r} x{len(args.seeds)} seeds"
-                + (f" (campaign {args.campaign})" if args.campaign else ""),
-            )
-        )
-        print(report.render())
-    return 0
-
-
-def _run_supervised_sweep(
-    args: argparse.Namespace, cache, kwargs: dict, log
-) -> int:
-    """``repro sweep --supervise`` / ``--resume``: the watchdog runtime."""
-    from repro.errors import SweepError
-    from repro.experiments.multiseed import CHAOS_METRICS, Replication
+def _sweep_jobs(args: argparse.Namespace) -> list:
+    """One scenario (or, with ``--campaign``, chaos) cell per seed."""
     from repro.parallel import SweepJob
-    from repro.supervise import (
-        SupervisePolicy,
-        resume_sweep,
-        supervised_sweep,
-    )
+
+    spec = {"sim_s": args.sim_s}
+    if args.interferer:
+        spec["interferer"] = _interferer(args.interferer)
+    if args.policy is not None:
+        spec["policy"] = args.policy or None
+    if args.campaign:
+        spec["campaign"] = args.campaign
+        return [SweepJob("chaos", args.name, int(s), spec) for s in args.seeds]
+    return [SweepJob("scenario", args.name, int(s), dict(spec)) for s in args.seeds]
+
+
+def _run_supervised_sweep(args: argparse.Namespace, cache, log):
+    """``repro sweep --supervise`` / ``--resume``: the watchdog runtime."""
+    from repro.supervise import SupervisePolicy, resume_sweep, supervised_sweep
 
     policy = SupervisePolicy(
         timeout_s=args.timeout_s,
@@ -776,17 +636,7 @@ def _run_supervised_sweep(
             retry_quarantined=args.retry_quarantined,
         )
     else:
-        if args.campaign:
-            spec = dict(kwargs)
-            spec["campaign"] = args.campaign
-            jobs = [
-                SweepJob("chaos", args.name, int(s), spec) for s in args.seeds
-            ]
-        else:
-            jobs = [
-                SweepJob("scenario", args.name, int(s), dict(kwargs))
-                for s in args.seeds
-            ]
+        jobs = _sweep_jobs(args)
         log.debug(
             f"supervised sweep of {len(jobs)} cells "
             f"(jobs={args.jobs}, retries={policy.retries}, "
@@ -805,68 +655,132 @@ def _run_supervised_sweep(
             invariant_mode=args.invariants,
         )
     log.info(f"run {sup.run_id}: manifest at {sup.manifest_path}")
+    return sup
 
-    chaos = any(c.job.kind == "chaos" for c in sup.cells)
-    metric_names = CHAOS_METRICS if chaos else ("total_mean",)
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis import render_table
+    from repro.experiments.multiseed import (
+        CHAOS_METRICS,
+        Replication,
+        _check_complete,
+    )
+    from repro.parallel import run_sweep
+
+    supervised = args.supervise or args.resume
+    ignored = _given(args, timeout_s=0.0, stall_s=0.0, run_id=None)
+    if ignored and not supervised:
+        raise ConfigError(
+            f"{', '.join(ignored)} only take effect with --supervise or --resume"
+        )
+    if args.retry_quarantined and not args.resume:
+        raise ConfigError("--retry-quarantined only takes effect with --resume")
+
+    log = get_logger()
+    cache = None if args.no_cache else args.cache_dir
+    sup = None
+    if supervised:
+        sup = _run_supervised_sweep(args, cache, log)
+        cells, report = sup.cells, sup.report
+        title = f"supervised sweep {args.name!r} ({len(cells)} cells)"
+    else:
+        log.debug(
+            f"sweeping {args.name!r} over {len(args.seeds)} seeds "
+            f"(jobs={args.jobs}, cache={cache or 'off'})"
+        )
+        with _invariant_guards(args.invariants):
+            result = run_sweep(_sweep_jobs(args), workers=args.jobs, cache=cache)
+        _check_complete(result, "chaos" if args.campaign else "scenario")
+        cells, report = result.cells, result.report
+        title = f"sweep {args.name!r} x{len(args.seeds)} seeds"
+    if args.campaign:
+        title += f" (campaign {args.campaign})"
+
+    # Fold the cells into one Replication per metric (a quarantined
+    # supervised cell leaves nothing to fold).
     metrics = {}
-    if sup.complete:
-        seeds = tuple(c.job.seed for c in sup.cells)
-        for m in metric_names:
+    if sup is None or sup.complete:
+        chaos = any(c.job.kind == "chaos" for c in cells)
+        seeds = tuple(c.job.seed for c in cells)
+        for m in CHAOS_METRICS if chaos else ("total_mean",):
             metrics[m] = Replication(
-                name=m,
-                seeds=seeds,
-                values=tuple(c.metrics[m] for c in sup.cells),
+                name=m, seeds=seeds, values=tuple(c.metrics[m] for c in cells)
             )
 
-    integrity = sup.integrity()
     if args.json:
-        import json
-
         doc = {
             "name": args.name,
             "campaign": args.campaign,
             "jobs": args.jobs,
-            "run_id": sup.run_id,
-            "metrics": _metrics_json(metrics),
-            "report": sup.report.to_dict(),
-            "integrity": integrity,
-            "cell_errors": [
+            "metrics": {
+                key: {
+                    "values": list(rep.values),
+                    "mean": rep.mean,
+                    "std": rep.std,
+                    "median": rep.median,
+                    "ci95_halfwidth": rep.ci95_halfwidth(),
+                    "n_nonfinite": rep.n_nonfinite,
+                }
+                for key, rep in metrics.items()
+            },
+            "report": report.to_dict(),
+        }
+        if sup is None:
+            doc["seeds"] = args.seeds
+        else:
+            doc["run_id"] = sup.run_id
+            doc["integrity"] = sup.integrity()
+            doc["cell_errors"] = [
                 {
                     "label": c.job.label,
                     "attempts": c.attempts,
                     "code": c.error_code,
                     "error": (c.error or "").splitlines()[0],
                 }
-                for c in sup.cells
+                for c in cells
                 if not c.ok
-            ],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+            ]
+        _emit(doc)
     else:
         if metrics:
             print(
-                _render_metrics_table(
-                    metrics,
-                    f"supervised sweep {args.name!r} ({len(sup.cells)} cells)"
-                    + (f" (campaign {args.campaign})" if args.campaign else ""),
+                render_table(
+                    ["metric", "mean", "ci95", "median", "min", "max", "n inf"],
+                    [
+                        [
+                            key,
+                            rep.mean,
+                            rep.ci95_halfwidth(),
+                            rep.median,
+                            rep.minimum,
+                            rep.maximum,
+                            float(rep.n_nonfinite),
+                        ]
+                        for key, rep in metrics.items()
+                    ],
+                    title=title,
                 )
             )
-        print(sup.report.render())
-        print(
-            f"integrity: complete={integrity['complete']} "
-            f"done={integrity['done']}/{integrity['cells']} "
-            f"quarantined={integrity['quarantined']} "
-            f"tainted={integrity['tainted']} "
-            f"retried_attempts={integrity['retried_attempts']}"
-        )
-        for c in sup.cells:
-            if not c.ok:
-                print(
-                    f"  quarantined {c.job.label} "
-                    f"[{c.error_code}, {c.attempts} attempt(s)]: "
-                    f"{(c.error or '').splitlines()[0]}"
-                )
-    return 0 if sup.complete else SweepError.exit_code
+        print(report.render())
+        if sup is not None:
+            integrity = sup.integrity()
+            print(
+                f"integrity: complete={integrity['complete']} "
+                f"done={integrity['done']}/{integrity['cells']} "
+                f"quarantined={integrity['quarantined']} "
+                f"tainted={integrity['tainted']} "
+                f"retried_attempts={integrity['retried_attempts']}"
+            )
+            for c in cells:
+                if not c.ok:
+                    print(
+                        f"  quarantined {c.job.label} "
+                        f"[{c.error_code}, {c.attempts} attempt(s)]: "
+                        f"{(c.error or '').splitlines()[0]}"
+                    )
+    # A supervised run reports its quarantined cells itself and exits
+    # with the sweep status; a plain sweep raised before printing.
+    return 0 if sup is None or sup.complete else SweepError.exit_code
 
 
 def _cmd_policies(_args: argparse.Namespace) -> int:
@@ -879,97 +793,103 @@ def _cmd_policies(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="ResEx reproduction: run paper figures and scenarios.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-
-    def add_verbosity_args(p: argparse.ArgumentParser, root: bool = False) -> None:
-        # On subparsers the flags default to SUPPRESS so a flag given
-        # before the subcommand is not clobbered by the sub-parse.
-        default = False if root else argparse.SUPPRESS
-        p.add_argument(
+    # -- option groups shared by every subcommand that takes them ----------
+    def verbosity(default) -> argparse.ArgumentParser:
+        group = argparse.ArgumentParser(add_help=False)
+        group.add_argument(
             "-q",
             "--quiet",
             action="store_true",
             default=default,
             help="suppress status messages (stderr); output still prints",
         )
-        p.add_argument(
+        group.add_argument(
             "-v",
             "--verbose",
             action="store_true",
             default=default,
             help="show per-step detail messages on stderr",
         )
+        return group
 
-    add_verbosity_args(parser, root=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_experiment_args(p: argparse.ArgumentParser) -> None:
-        add_verbosity_args(p)
-        p.add_argument("names", nargs="*", help="experiment names (see --list)")
-        p.add_argument("--list", action="store_true", help="list experiments")
-        p.add_argument("--all", action="store_true", help="run every experiment")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--scale", choices=["fast", "full"], default=None)
-        p.add_argument("--out", help="directory to save rendered outputs")
-        p.add_argument(
-            "--json",
-            action="store_true",
-            help="also write structured JSON next to saved text (with --out)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes to fan experiments out to (default 1)",
-        )
-
-    figures = sub.add_parser("figures", help="run paper-figure experiments")
-    add_experiment_args(figures)
-    figures.set_defaults(func=_cmd_figures)
-
-    ablations = sub.add_parser(
-        "ablations", help="run design-choice ablation experiments"
+    # On subparsers the flags default to SUPPRESS so a flag given before
+    # the subcommand is not clobbered by the sub-parse.
+    quiet = verbosity(argparse.SUPPRESS)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=7, help="simulation seed (default 7)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json",
+        action="store_true",
+        help="emit structured JSON (figures/ablations: write it next to "
+        "the --out text)",
     )
-    add_experiment_args(ablations)
-    ablations.set_defaults(func=_cmd_ablations)
-
-    scenario = sub.add_parser("scenario", help="run one ad-hoc scenario")
-    add_verbosity_args(scenario)
-    scenario.add_argument(
-        "--interferer",
-        type=_parse_size,
-        help="interfering VM buffer size (e.g. 2MB); omit for base case",
-    )
-    scenario.add_argument("--interferer-depth", type=int, default=2)
-    scenario.add_argument(
-        "--policy",
-        help="pricing policy name (see 'repro policies'); omit for none",
-    )
-    scenario.add_argument(
-        "--cap", type=int, help="manual CPU cap for the interfering VM"
-    )
-    scenario.add_argument("--servers", type=int, default=1)
-    scenario.add_argument("--sim-s", type=float, default=1.0)
-    scenario.add_argument("--seed", type=int, default=7)
-    scenario.add_argument(
+    guards = argparse.ArgumentParser(add_help=False)
+    guards.add_argument(
         "--invariants",
         choices=["off", "record", "strict"],
         default="off",
         help="runtime invariant guards: record violations, or fail fast "
         "on the first one (default off)",
     )
-    scenario.set_defaults(func=_cmd_scenario)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (default 1 = serial, same entry point)",
+    )
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument(
+        "--interferer",
+        type=_parse_size,
+        help="interfering VM buffer size (e.g. 2MB); overrides the preset's",
+    )
+    workload.add_argument(
+        "--policy",
+        help="pricing policy name (see 'repro policies'); overrides the preset's",
+    )
 
-    cluster = sub.add_parser(
-        "cluster",
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="ResEx reproduction: run paper figures and scenarios.",
+        parents=[verbosity(False)],
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, *groups, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[quiet, *groups], **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    for name, func, text in (
+        ("figures", _cmd_figures, "run paper-figure experiments"),
+        ("ablations", _cmd_ablations, "run design-choice ablation experiments"),
+    ):
+        p = command(name, func, seed, as_json, workers, help=text)
+        p.add_argument("names", nargs="*", help="experiment names (see --list)")
+        p.add_argument("--list", action="store_true", help="list experiments")
+        p.add_argument("--all", action="store_true", help="run every experiment")
+        p.add_argument("--scale", choices=["fast", "full"], default=None)
+        p.add_argument("--out", help="directory to save rendered outputs")
+
+    scenario = command(
+        "scenario", _cmd_scenario, workload, seed, guards,
+        help="run one ad-hoc scenario",
+    )
+    scenario.add_argument("--interferer-depth", type=int, default=2)
+    scenario.add_argument(
+        "--cap", type=int, help="manual CPU cap for the interfering VM"
+    )
+    scenario.add_argument("--servers", type=int, default=1)
+    scenario.add_argument("--sim-s", type=float, default=1.0)
+
+    cluster = command(
+        "cluster", _cmd_cluster, seed, guards, as_json,
         help="run a cluster-scale preset (leaf-spine / fat-tree topology, "
         "per-rack ResEx controllers, fabric-borne price federation)",
     )
-    add_verbosity_args(cluster)
     cluster.add_argument(
         "preset",
         nargs="?",
@@ -979,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--list", action="store_true", help="list registered cluster presets"
     )
-    cluster.add_argument("--seed", type=int, default=7)
     cluster.add_argument(
         "--sim-s", type=float, default=None,
         help="override the preset's simulated duration",
@@ -1004,13 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the escape hatch CI's differential compares against)",
     )
     cluster.add_argument(
-        "--invariants",
-        choices=["off", "record", "strict"],
-        default="off",
-        help="runtime invariant guards: record violations, or fail fast "
-        "on the first one (default off)",
-    )
-    cluster.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="journal barrier-aligned ckpt/1 checkpoints to DIR and arm "
         "in-run worker recovery (needs --shards >= 2)",
@@ -1029,27 +941,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-recovery testing: SIGKILL shard SHARD's worker when "
         "the run reaches barrier BARRIER (fork backend)",
     )
-    cluster.add_argument(
-        "--json", action="store_true",
-        help="emit metrics as JSON (includes the 'tainted' flag and the "
-        "canonical metrics digest)",
-    )
-    cluster.set_defaults(func=_cmd_cluster)
 
-    profile = sub.add_parser(
-        "profile",
+    profile = command(
+        "profile", _cmd_profile, seed, as_json,
         help="profile a cluster preset or scenario run: per-layer time "
         "buckets (kernel/mailbox/barrier/fabric/model), a hot-spot "
         "table, and flamegraph-ready collapsed stacks",
     )
-    add_verbosity_args(profile)
     profile.add_argument(
         "target",
         nargs="?",
         default="cluster_smoke",
         help="cluster preset or scenario name (default cluster_smoke)",
     )
-    profile.add_argument("--seed", type=int, default=7)
     profile.add_argument(
         "--sim-s", type=float, default=None,
         help="override the target's simulated duration",
@@ -1072,18 +976,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--collapsed", metavar="PATH", default=None,
         help="write flamegraph.pl/speedscope collapsed stacks to PATH",
     )
-    profile.add_argument(
-        "--json", action="store_true",
-        help="emit the bucket table and hot spots as JSON",
-    )
-    profile.set_defaults(func=_cmd_profile)
 
-    serve = sub.add_parser(
-        "serve",
+    serve = command(
+        "serve", _cmd_serve, seed,
         help="run the ResEx service gateway (live wall-clock epochs or "
         "deterministic sim) until SIGTERM/SIGINT",
     )
-    add_verbosity_args(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=7741, help="0 binds an ephemeral port"
@@ -1099,7 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots", type=int, default=8, help="admission capacity (guest slots)"
     )
     serve.add_argument("--policy", default="freemarket")
-    serve.add_argument("--seed", type=int, default=7)
     serve.add_argument(
         "--max-queue",
         type=int,
@@ -1118,21 +1015,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="start from a world snapshot written by --checkpoint "
         "(overrides --slots/--policy/--seed with the snapshot's own)",
     )
-    serve.set_defaults(func=_cmd_serve)
 
-    loadgen = sub.add_parser(
-        "loadgen",
+    loadgen = command(
+        "loadgen", _cmd_loadgen, seed, as_json,
         help="fire a seeded open-loop synthetic load at a running "
         "service gateway and print the response-log digest",
     )
-    add_verbosity_args(loadgen)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=7741)
     loadgen.add_argument("--requests", type=int, default=1000)
     loadgen.add_argument(
         "--vms", type=int, default=4, help="tenants admitted up front"
     )
-    loadgen.add_argument("--seed", type=int, default=7)
     loadgen.add_argument(
         "--arrivals",
         choices=["constant", "bursty", "diurnal"],
@@ -1158,17 +1052,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="connection attempts before giving up (covers racing a "
         "server that is still binding)",
     )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    loadgen.set_defaults(func=_cmd_loadgen)
 
-    trace = sub.add_parser(
-        "trace",
+    trace = command(
+        "trace", _cmd_trace, workload, seed,
         help="run a scenario with full-stack tracing and write a Chrome "
         "trace-event JSON file",
     )
-    add_verbosity_args(trace)
     trace.add_argument(
         "scenario",
         choices=sorted(TRACE_PRESETS),
@@ -1181,28 +1070,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv", action="store_true", help="also write a flat CSV of records"
     )
     trace.add_argument(
-        "--interferer",
-        type=_parse_size,
-        help="override the preset's interferer buffer size",
-    )
-    trace.add_argument("--policy", help="override the preset's pricing policy")
-    trace.add_argument(
         "--kernel-events",
         action="store_true",
         help="include the per-event kernel dispatch firehose (large!)",
     )
     trace.add_argument("--sim-s", type=float, default=0.2)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.set_defaults(func=_cmd_trace)
 
-    chaos = sub.add_parser(
-        "chaos",
+    from repro.faults.presets import campaign_presets
+
+    chaos = command(
+        "chaos", _cmd_chaos, workload, seed, guards, as_json,
         help="run a scenario under a fault-injection campaign and print "
         "a resilience report",
     )
-    add_verbosity_args(chaos)
-    from repro.faults.presets import campaign_presets
-
     chaos.add_argument(
         "scenario",
         help="chaos scenario preset (fig9 = interfered + ioshares; also "
@@ -1223,55 +1103,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         action="store_true",
         help="run every managed scenario variant under the same campaign "
-        "and print the per-policy degradation table",
-    )
-    chaos.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
+        "and print the per-policy degradation table (text only)",
     )
     chaos.add_argument(
         "--trace", metavar="FILE", help="also write a Chrome trace-event file"
     )
-    chaos.add_argument(
-        "--interferer",
-        type=_parse_size,
-        help="override the preset's interferer buffer size",
-    )
-    chaos.add_argument("--policy", help="override the preset's pricing policy")
     chaos.add_argument("--sim-s", type=float, default=1.5)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument(
-        "--invariants",
-        choices=["off", "record", "strict"],
-        default="off",
-        help="runtime invariant guards: record violations, or fail fast "
-        "on the first one (default off)",
-    )
-    chaos.set_defaults(func=_cmd_chaos)
 
-    policies = sub.add_parser("policies", help="list registered pricing policies")
-    add_verbosity_args(policies)
-    policies.set_defaults(func=_cmd_policies)
+    command("policies", _cmd_policies, help="list registered pricing policies")
 
-    report = sub.add_parser(
-        "report", help="run everything and write a markdown report"
+    report = command(
+        "report", _cmd_report, seed, workers,
+        help="run everything and write a markdown report",
     )
-    add_verbosity_args(report)
     report.add_argument("-o", "--output", help="output file (default stdout)")
-    report.add_argument("--seed", type=int, default=7)
     report.add_argument("--scale", choices=["fast", "full"], default=None)
     report.add_argument(
         "--no-ablations", action="store_true", help="figures only"
     )
-    report.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan experiments out to (default 1)",
-    )
-    report.set_defaults(func=_cmd_report)
 
-    sweep = sub.add_parser(
-        "sweep",
+    sweep = command(
+        "sweep", _cmd_sweep, workload, guards, as_json, workers,
         help="replicate a scenario (or chaos campaign) across seeds "
         "through the parallel sweep engine",
         description=(
@@ -1283,7 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
             "the content-addressed result cache."
         ),
     )
-    add_verbosity_args(sweep)
     sweep.add_argument(
         "name",
         nargs="?",
@@ -1299,12 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explicit list ('1,5,9'); default 8",
     )
     sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial, same entrypoint)",
-    )
-    sweep.add_argument(
         "--cache-dir",
         help="content-addressed result cache directory (created on demand)",
     )
@@ -1314,32 +1159,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore --cache-dir and recompute everything",
     )
     sweep.add_argument(
-        "--json",
-        action="store_true",
-        help="emit values, statistics and the sweep report as JSON",
-    )
-    sweep.add_argument(
         "--campaign",
         help="sweep a chaos scenario under this fault campaign preset "
         "instead of a plain scenario",
     )
-    sweep.add_argument(
-        "--interferer",
-        type=_parse_size,
-        help="interfering VM buffer size (e.g. 2MB); omit for base case",
-    )
-    sweep.add_argument(
-        "--policy",
-        help="pricing policy name (see 'repro policies'); omit for none",
-    )
     sweep.add_argument("--sim-s", type=float, default=1.0)
-    sweep.add_argument(
-        "--invariants",
-        choices=["off", "record", "strict"],
-        default="off",
-        help="runtime invariant guards in every cell: record marks "
-        "violating cells tainted, strict quarantines them (default off)",
-    )
     supervise = sweep.add_argument_group(
         "supervision",
         "watchdogs, retries and checkpoint/resume (repro.supervise); "
@@ -1391,7 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="retries per failed cell before quarantine (default 1)",
     )
-    sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -1405,9 +1228,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ReproError as exc:
-        # Structured errors map to stable exit codes (see repro.errors):
-        # config 2, sweep 3, invariant 4, cache corruption 5, service 6.
+        # The one place errors become exit codes (see repro.errors):
+        # config 2, sweep 3, invariant 4, cache/checkpoint 5, service 6.
         print(f"repro: error [{exc.code}]: {exc}", file=sys.stderr)
+        if isinstance(exc, SweepError) and getattr(args, "json", False):
+            _emit(
+                {
+                    "error": str(exc).splitlines()[0],
+                    "code": exc.code,
+                    "cell_errors": [
+                        {
+                            "label": label,
+                            "error": err.splitlines()[0] if err else "",
+                        }
+                        for label, err in exc.cell_errors
+                    ],
+                }
+            )
         return exc.exit_code
 
 

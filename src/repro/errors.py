@@ -147,10 +147,10 @@ class FinanceError(ReproError):
 class SweepError(ReproError):
     """One or more cells of a parallel experiment sweep failed.
 
-    Raised by the :mod:`repro.parallel` helpers that promise complete
-    results (``replicate_*``); carries the per-cell error summaries so
-    a single crashed worker is attributable to its exact (scenario,
-    seed) cell instead of surfacing as a broken pool.
+    Raised by the sweep helpers that promise complete results
+    (``sweep_*``, ``run_registry_set``); carries the per-cell error
+    summaries so a single crashed worker is attributable to its exact
+    (scenario, seed) cell instead of surfacing as a broken pool.
     """
 
     code = "sweep-failed"

@@ -4,9 +4,6 @@ from repro.experiments.figures import ALL_FIGURES, FigureResult, scale_factor
 from repro.experiments.multiseed import (
     CHAOS_METRICS,
     Replication,
-    replicate_chaos,
-    replicate_comparison,
-    replicate_scenario,
     sweep_chaos,
     sweep_comparison,
     sweep_scenario,
@@ -21,9 +18,7 @@ from repro.experiments.cluster import (
     run_cluster,
 )
 from repro.experiments.suite import (
-    run_ablation_set,
     run_cluster_set,
-    run_figure_set,
     run_registry_set,
     run_service_set,
 )
@@ -61,15 +56,10 @@ __all__ = [
     "build_scenario",
     "cluster_spec",
     "default_fault_engine",
-    "replicate_chaos",
-    "replicate_comparison",
-    "replicate_scenario",
     "resume_sweep",
-    "run_ablation_set",
     "run_chaos_scenario",
     "run_cluster",
     "run_cluster_set",
-    "run_figure_set",
     "run_registry_set",
     "run_scenario",
     "run_service_set",

@@ -122,9 +122,6 @@ class IBMon:
         if domid not in self._vms:
             self._vms[domid] = _MonitoredVM(domid)
 
-    def watched_domains(self) -> List[int]:
-        return sorted(self._vms)
-
     def _discover(self, vm: _MonitoredVM) -> None:
         """Find this domain's CQ rings with the backend driver's help,
         then map their pages read-only."""

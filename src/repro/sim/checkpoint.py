@@ -170,9 +170,6 @@ class ShardJournal:
     def exchanges(self, shard: int) -> int:
         return len(self.frames[shard])
 
-    def bytes_journaled(self) -> int:
-        return sum(len(f) for per in self.frames for f in per)
-
 
 def checkpoint_payload(
     *,

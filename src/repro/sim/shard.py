@@ -188,9 +188,6 @@ class Mailbox:
             raise ConfigError(f"domain {domain} already has a mailbox handler")
         self._handlers[int(domain)] = handler
 
-    def is_local(self, domain: int) -> bool:
-        return domain in self._handlers
-
     @property
     def local_domains(self) -> Tuple[int, ...]:
         return tuple(sorted(self._handlers))

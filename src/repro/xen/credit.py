@@ -71,15 +71,6 @@ class PCPUScheduler:
             self._work_signal.succeed()
 
     # -- main loop -------------------------------------------------------------
-    def _eligible(self) -> List[VCPU]:
-        return [
-            v
-            for v in self.vcpus
-            if not v.frozen
-            and v.has_work()
-            and v.used_in_period < v.cap_budget_ns(self.period_ns)
-        ]
-
     def _pick(self, eligible: List[VCPU]) -> VCPU:
         # Virtual-time fairness: clamp waking VCPUs so idleness earns no
         # credit, then run the smallest virtual time (stable tie-break).

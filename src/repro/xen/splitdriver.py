@@ -20,7 +20,7 @@ from repro.errors import HypervisorError
 from repro.hw.memory import Buffer
 from repro.ib.cq import CompletionQueue
 from repro.ib.hca import HCA
-from repro.ib.mr import Access, MemoryRegion
+from repro.ib.mr import Access
 from repro.ib.verbs import IBContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,11 +86,6 @@ class IBFrontend:
         mr = self.backend.hca.register_mr(buffer, access, self.domain.domid)
         ctx.mrs.append(mr)
         return mr
-
-    def dereg_mr(self, ctx: IBContext, mr: MemoryRegion):
-        yield from self._roundtrip()
-        self.backend.hca.tpt.deregister(mr)
-        ctx.mrs.remove(mr)
 
     def create_cq(self, ctx: IBContext, depth: int = 1024):
         yield from self._roundtrip()

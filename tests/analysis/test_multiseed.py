@@ -8,9 +8,8 @@ import pytest
 from repro.errors import ConfigError, SweepError
 from repro.experiments.multiseed import (
     Replication,
-    replicate_chaos,
-    replicate_comparison,
-    replicate_scenario,
+    sweep_chaos,
+    sweep_comparison,
     sweep_scenario,
 )
 
@@ -85,25 +84,25 @@ class TestReplicationInfSafety:
 
 class TestReplicateScenario:
     def test_runs_each_seed(self):
-        rep = replicate_scenario("base", seeds=[1, 2], sim_s=0.3)
+        rep = sweep_scenario("base", seeds=[1, 2], sim_s=0.3)[0]
         assert len(rep.values) == 2
         assert rep.seeds == (1, 2)
         # Base case is ~209us at every seed.
         assert all(200 < v < 220 for v in rep.values)
 
     def test_different_seeds_different_samples(self):
-        rep = replicate_scenario("base", seeds=[1, 2], sim_s=0.3)
+        rep = sweep_scenario("base", seeds=[1, 2], sim_s=0.3)[0]
         # Compute jitter differs by seed (not byte-identical runs).
         assert rep.values[0] != rep.values[1]
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            replicate_scenario("x", seeds=[])
+            sweep_scenario("x", seeds=[])
 
     def test_comparison(self):
-        reps = replicate_comparison(
+        reps = sweep_comparison(
             [1], {"a": dict(sim_s=0.3), "b": dict(sim_s=0.3)}
-        )
+        )[0]
         assert set(reps) == {"a", "b"}
 
 
@@ -111,8 +110,8 @@ class TestSerialParallelEquivalence:
     """The engine's contract: pool width changes wall time, never floats."""
 
     def test_replicate_scenario_bit_identical(self):
-        serial = replicate_scenario("eq", seeds=[1, 2, 3], sim_s=0.2)
-        pooled = replicate_scenario("eq", seeds=[1, 2, 3], jobs=2, sim_s=0.2)
+        serial = sweep_scenario("eq", seeds=[1, 2, 3], sim_s=0.2)[0]
+        pooled = sweep_scenario("eq", seeds=[1, 2, 3], jobs=2, sim_s=0.2)[0]
         assert serial == pooled  # tuple equality: bit-for-bit floats
 
     def test_replicate_comparison_bit_identical(self):
@@ -129,17 +128,17 @@ class TestSerialParallelEquivalence:
                 manual_cap=12,
             ),
         }
-        serial = replicate_comparison([1, 2], configs)
-        pooled = replicate_comparison([1, 2], configs, jobs=2)
+        serial = sweep_comparison([1, 2], configs)[0]
+        pooled = sweep_comparison([1, 2], configs, jobs=2)[0]
         assert serial == pooled
 
     def test_replicate_chaos_bit_identical(self):
-        serial = replicate_chaos(
+        serial = sweep_chaos(
             "fig9", seeds=[1, 2], campaign="link-flap", sim_s=0.3
-        )
-        pooled = replicate_chaos(
+        )[0]
+        pooled = sweep_chaos(
             "fig9", seeds=[1, 2], campaign="link-flap", jobs=2, sim_s=0.3
-        )
+        )[0]
         assert serial == pooled
         assert set(serial) == {"excursion_us_s", "worst_ttr_ms", "recovered"}
 
@@ -163,7 +162,7 @@ class TestSweepCache:
 
     def test_failed_cell_raises_sweep_error_with_labels(self):
         with pytest.raises(SweepError) as err:
-            replicate_scenario("bad", seeds=[1], policy="no-such-policy")
+            sweep_scenario("bad", seeds=[1], policy="no-such-policy")
         assert err.value.cell_errors
         label, detail = err.value.cell_errors[0]
         assert label == "scenario:bad@s1"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.benchex import BenchExConfig
-from repro.experiments import replicate_chaos, run_chaos_scenario
+from repro.experiments import run_chaos_scenario, sweep_chaos
 from repro.resex import LatencySLA
 from repro.telemetry import TelemetryBus
 from repro.units import SEC, KiB
@@ -142,8 +142,8 @@ class TestReplicateChaos:
     def test_seed_sweep_reproducible_with_finite_ci(self):
         seeds = (3, 5)
         kwargs = dict(campaign="link-flap", sim_s=0.4)
-        a = replicate_chaos("base", seeds, **kwargs)
-        b = replicate_chaos("base", seeds, **kwargs)
+        a = sweep_chaos("base", seeds, **kwargs)[0]
+        b = sweep_chaos("base", seeds, **kwargs)[0]
         assert set(a) == {"excursion_us_s", "worst_ttr_ms", "recovered"}
         for metric in a:
             assert a[metric].values == b[metric].values  # reproducible
@@ -156,7 +156,7 @@ class TestReplicateChaos:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            replicate_chaos("base", (), campaign="link-flap")
+            sweep_chaos("base", (), campaign="link-flap")
 
 
 class TestChaosCli:

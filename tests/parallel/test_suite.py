@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.figures import FigureResult
-from repro.experiments.suite import run_figure_set, run_registry_set
+from repro.experiments.suite import run_registry_set
 
 
 def _stub_a(seed=7):
@@ -34,26 +34,26 @@ def stub_figures(monkeypatch):
 
 class TestRegistrySet:
     def test_serial_runs_in_registry_order(self, stub_figures):
-        results, report = run_figure_set(seed=5)
+        results, report = run_registry_set("figures", seed=5)
         assert list(results) == ["stub-a", "stub-b"]
         assert results["stub-a"].rows == [[5.0]]
         assert results["stub-b"].rows == [[10.0]]
         assert report.executed == 2
 
     def test_parallel_matches_serial(self, stub_figures):
-        serial, _ = run_figure_set(seed=5, jobs=1)
-        pooled, _ = run_figure_set(seed=5, jobs=2)
+        serial, _ = run_registry_set("figures", seed=5, jobs=1)
+        pooled, _ = run_registry_set("figures", seed=5, jobs=2)
         assert list(serial) == list(pooled)
         for name in serial:
             assert serial[name].rows == pooled[name].rows
 
     def test_subset_selection(self, stub_figures):
-        results, _ = run_figure_set(["stub-b"], seed=3)
+        results, _ = run_registry_set("figures", ["stub-b"], seed=3)
         assert list(results) == ["stub-b"]
 
     def test_unknown_name_rejected(self, stub_figures):
         with pytest.raises(ConfigError, match="unknown experiments"):
-            run_figure_set(["nope"])
+            run_registry_set("figures", ["nope"])
 
     def test_unknown_registry_rejected(self):
         with pytest.raises(ConfigError, match="unknown experiment registry"):

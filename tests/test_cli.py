@@ -211,3 +211,32 @@ class TestReportCommand:
         assert "# ResEx reproduction report" in text
         assert "Headline" in text
         assert "reduction" in text.lower()
+
+
+class TestIgnoredFlagsRejected:
+    """Flags a command would silently ignore are config errors (exit 2)."""
+
+    CHAOS = ["chaos", "base", "--compare", "--sim-s", "0.1"]
+    SWEEP = ["sweep", "--seeds", "1", "--sim-s", "0.05"]
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (CHAOS + ["--json"], "--json"),
+            (CHAOS + ["--trace", "{tmp}/t.json"], "--trace"),
+            (CHAOS + ["--invariants", "record"], "--invariants"),
+            (CHAOS + ["--invariants", "strict"], "--invariants"),
+            (SWEEP + ["--timeout-s", "60"], "--timeout-s"),
+            (SWEEP + ["--stall-s", "5"], "--stall-s"),
+            (SWEEP + ["--run-id", "x"], "--run-id"),
+            (SWEEP + ["--retry-quarantined"], "--retry-quarantined"),
+            (SWEEP + ["--supervise", "--retry-quarantined"], "--retry-quarantined"),
+        ],
+    )
+    def test_exits_with_config_code(self, capsys, tmp_path, argv, flag):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv[0] == "sweep":
+            argv += ["--run-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and flag in err
