@@ -45,10 +45,15 @@ def _payload(job):
     return ["not", "a", "metrics", "mapping", job.seed]
 
 
+def _interrupt(job):
+    raise KeyboardInterrupt
+
+
 register_job_kind("test-square", _square)
 register_job_kind("test-boom", _boom)
 register_job_kind("test-die", _die)
 register_job_kind("test-payload", _payload)
+register_job_kind("test-interrupt", _interrupt)
 
 
 def _jobs(kind, seeds, spec=None):
@@ -185,6 +190,12 @@ class TestErrorContainment:
         assert [c.metrics for c in result.cells[:2]] == [
             {"value": 0.0}, {"value": 1.0}
         ]
+
+    def test_interrupt_stops_an_in_process_sweep(self):
+        # Ctrl-C during `repro figures` (one in-process worker) must reach
+        # the caller, not be recorded as a cell error while the rest run.
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_jobs("test-interrupt", range(2)), workers=1)
 
     def test_values_on_failed_sweep_raises(self):
         result = run_sweep(_jobs("test-boom", [1]), workers=1)
