@@ -839,6 +839,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (default 1 = serial, same entry point)",
     )
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument(
+        "--shards", type=int, default=1,
+        help="partition the run across N shard workers along the "
+        "topology's domain plan (bit-identical to --shards 1; default 1)",
+    )
     workload = argparse.ArgumentParser(add_help=False)
     workload.add_argument(
         "--interferer",
@@ -886,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--sim-s", type=float, default=1.0)
 
     cluster = command(
-        "cluster", _cmd_cluster, seed, guards, as_json,
+        "cluster", _cmd_cluster, seed, guards, as_json, shards,
         help="run a cluster-scale preset (leaf-spine / fat-tree topology, "
         "per-rack ResEx controllers, fabric-borne price federation)",
     )
@@ -902,11 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--sim-s", type=float, default=None,
         help="override the preset's simulated duration",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the run across N shard workers along the "
-        "topology's domain plan (bit-identical to --shards 1; default 1)",
     )
     cluster.add_argument(
         "--shard-backend",
@@ -943,10 +944,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     profile = command(
-        "profile", _cmd_profile, seed, as_json,
+        "profile", _cmd_profile, seed, as_json, shards,
         help="profile a cluster preset or scenario run: per-layer time "
         "buckets (kernel/mailbox/barrier/fabric/model), a hot-spot "
-        "table, and flamegraph-ready collapsed stacks",
+        "table, and flamegraph-ready collapsed stacks; a sharded run "
+        "uses the inline backend, so the profiler sees the workers",
     )
     profile.add_argument(
         "target",
@@ -957,11 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--sim-s", type=float, default=None,
         help="override the target's simulated duration",
-    )
-    profile.add_argument(
-        "--shards", type=int, default=1,
-        help="profile a sharded cluster run (inline backend, so the "
-        "profiler sees the workers; default 1)",
     )
     profile.add_argument(
         "--top", type=int, default=25,

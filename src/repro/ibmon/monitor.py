@@ -76,12 +76,14 @@ class _MonitoredCQ:
 
 
 class _MonitoredVM:
-    __slots__ = ("domid", "cqs", "known_cqns")
+    __slots__ = ("domid", "cqs", "known_cqns", "scanned")
 
     def __init__(self, domid: int) -> None:
         self.domid = domid
         self.cqs: List[_MonitoredCQ] = []
         self.known_cqns: Set[int] = set()
+        #: Size of the HCA's CQ table at this VM's last discovery scan.
+        self.scanned = 0
 
 
 class IBMon:
@@ -100,6 +102,8 @@ class IBMon:
         self.sample_interval_ns = sample_interval_ns
         self.sample_cpu_ns = sample_cpu_ns
         self._vms: Dict[int, _MonitoredVM] = {}
+        #: Rings mapped so far, across every watched VM.
+        self._ncqs = 0
         self.samples_taken = 0
         self.samples_dropped = 0
         self._proc = None
@@ -124,9 +128,13 @@ class IBMon:
 
     def _discover(self, vm: _MonitoredVM) -> None:
         """Find this domain's CQ rings with the backend driver's help,
-        then map their pages read-only."""
-        hca = self.node.hca
-        for cqn, cq in hca.cqs.items():
+        then map their pages read-only.
+
+        Called only when the HCA's CQ table has grown since this VM's
+        last scan (see :meth:`sample_now`).
+        """
+        cqs = self.node.hca.cqs
+        for cqn, cq in cqs.items():
             if cqn in vm.known_cqns:
                 continue
             if cq.page.address_space.domid != vm.domid:
@@ -140,6 +148,8 @@ class IBMon:
             )
             vm.known_cqns.add(cqn)
             vm.cqs.append(_MonitoredCQ(cqn, views[0].content))
+            self._ncqs += 1
+        vm.scanned = len(cqs)
 
     # -- the sampling daemon -------------------------------------------------------
     def start(self) -> None:
@@ -155,7 +165,7 @@ class IBMon:
                 self.samples_dropped += 1
                 continue
             sample_start = self.env.now
-            ncqs = sum(len(vm.cqs) for vm in self._vms.values())
+            ncqs = self._ncqs
             # Introspection costs dom0 CPU per mapped ring.
             yield dom0.vcpu.compute(self.sample_cpu_ns * max(ncqs, 1))
             self.sample_now()
@@ -176,8 +186,12 @@ class IBMon:
         """One sampling pass over every watched VM (also callable
         synchronously from tests)."""
         self.samples_taken += 1
+        # The HCA only ever adds CQs (there is no CQ destroy verb), so a
+        # table no larger than at a VM's last scan holds nothing new.
+        ncqs = len(self.node.hca.cqs)
         for vm in self._vms.values():
-            self._discover(vm)
+            if vm.scanned != ncqs:
+                self._discover(vm)
             for mcq in vm.cqs:
                 self._sample_cq(mcq)
 
@@ -239,7 +253,6 @@ class IBMon:
                 buffer_size_estimate=None,
                 qp_nums=set(),
             )
-        mtu = self.node.hca.params.mtu_bytes
         completions = 0
         est_bytes = 0
         buffer_est: Optional[int] = None
@@ -254,13 +267,11 @@ class IBMon:
                 if size and (buffer_est is None or size > buffer_est):
                     buffer_est = size
             mcq.completions_accum = 0
+        mtus = 0
+        if est_bytes:
+            mtus = -(-est_bytes // self.node.hca.params.mtu_bytes)
         stats = IBMonStats(
-            domid=domid,
-            completions=completions,
-            estimated_bytes=est_bytes,
-            estimated_mtus=-(-est_bytes // mtu) if est_bytes else 0,
-            buffer_size_estimate=buffer_est,
-            qp_nums=qp_nums,
+            domid, completions, est_bytes, mtus, buffer_est, qp_nums
         )
         self._last_stats[domid] = stats
         tel = self.env.telemetry

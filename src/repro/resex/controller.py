@@ -20,7 +20,7 @@ from repro.ibmon import IBMon
 from repro.resex.interference import InterferenceDetector, LatencySLA
 from repro.resex.policy import PricingPolicy
 from repro.resex.resos import ResoAccount, ResoParams, provision_accounts
-from repro.sim.monitor import ProbeSet
+from repro.sim.monitor import ProbeSet, TimeSeries
 from repro.units import US
 from repro.xen.domain import Domain
 
@@ -29,7 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class MonitoredVM:
-    """Controller-side state for one managed VM."""
+    """Controller-side state for one managed VM.
+
+    Everything the per-interval loop touches is resolved once, when the
+    VM comes under management: its domid, its VCPU and its probe series.
+    A domain's VCPUs always share one cap (only
+    :meth:`~repro.xen.hypervisor.Hypervisor.set_cap` writes it), so
+    VCPU 0's cap is the domain's.
+    """
 
     def __init__(
         self,
@@ -37,8 +44,11 @@ class MonitoredVM:
         agent: Optional[LatencyAgent],
         detector: Optional[InterferenceDetector],
         mtu_window: int,
+        probes: ProbeSet,
     ) -> None:
         self.domain = domain
+        self.domid = domain.domid
+        self.vcpu = domain.vcpu
         self.agent = agent
         self.detector = detector
         self.account: Optional[ResoAccount] = None
@@ -51,10 +61,14 @@ class MonitoredVM:
         #: Most recent interval's readings (for policies and probes).
         self.last_mtus = 0
         self.last_cpu_pct = 0.0
-
-    @property
-    def domid(self) -> int:
-        return self.domain.domid
+        #: Probe series sampled every interval, in recording order.
+        tag = f"dom{self.domid}"
+        self.cap_series = probes.ts(f"{tag}.cap")
+        self.resos_series = probes.ts(f"{tag}.resos")
+        self.rate_series = probes.ts(f"{tag}.rate")
+        self.intf_series: Optional[TimeSeries] = (
+            probes.ts(f"{tag}.intf_pct") if detector is not None else None
+        )
 
     def windowed_mtus(self) -> int:
         return sum(self.mtus_window)
@@ -125,7 +139,9 @@ class ResExController:
             detector = InterferenceDetector(sla, window=detector_window)
         elif agent is not None:
             raise PricingError("an agent without an SLA cannot be evaluated")
-        vm = MonitoredVM(domain, agent, detector, self.mtu_window)
+        vm = MonitoredVM(
+            domain, agent, detector, self.mtu_window, self.probes
+        )
         self.vms.append(vm)
         self.ibmon.watch_domain(domain.domid)
         self.policy.on_attach(self, vm)
@@ -247,22 +263,26 @@ class ResExController:
                 self.epochs_run += 1
 
     def _read_sensors(self) -> None:
+        get_mtus = self.ibmon.get_mtus
+        cpu_percent_since_last = self.node.xenstat.cpu_percent_since_last
         for vm in self.vms:
-            vm.last_mtus = self.ibmon.get_mtus(vm.domid)
+            vm.last_mtus = get_mtus(vm.domid)
             vm.mtus_window.append(vm.last_mtus)
-            vm.last_cpu_pct = self.node.xenstat.cpu_percent_since_last(vm.domid)
+            vm.last_cpu_pct = cpu_percent_since_last(vm.domid)
             if vm.agent is not None and vm.detector is not None:
                 vm.detector.add_samples(vm.agent.drain())
 
     def _record_probes(self) -> None:
+        samples = []
         for vm in self.vms:
-            tag = f"dom{vm.domid}"
-            self.probes.record(f"{tag}.cap", self.get_cap(vm))
-            if vm.account is not None:
-                self.probes.record(f"{tag}.resos", vm.account.balance)
-            self.probes.record(f"{tag}.rate", vm.charge_rate)
-            if vm.detector is not None:
-                self.probes.record(f"{tag}.intf_pct", vm.detector.last_pct)
+            assert vm.account is not None
+            samples.append((vm.cap_series, vm.vcpu.cap_percent))
+            samples.append((vm.resos_series, vm.account.balance))
+            samples.append((vm.rate_series, vm.charge_rate))
+            if vm.intf_series is not None:
+                assert vm.detector is not None
+                samples.append((vm.intf_series, vm.detector.last_pct))
+        self.probes.record_all(samples)
 
     # -- policy-facing helpers ----------------------------------------------------
     def get_mtus(self, vm: MonitoredVM) -> int:
@@ -320,11 +340,18 @@ class ResExController:
         return interferer.windowed_mtus() / total
 
     def set_cap(self, vm: MonitoredVM, cap_percent: int) -> None:
-        """SetVMCap: actuate through the hypervisor."""
+        """SetVMCap: actuate through the hypervisor.
+
+        An unchanged cap is not re-applied: the hypervisor would write
+        the same value and emit nothing, so skipping it changes no
+        event and no scheduling decision.
+        """
         cap = int(round(cap_percent))
         cap = max(1, min(100, cap))
+        if cap == vm.vcpu.cap_percent:
+            return
         tel = self.env.telemetry
-        if tel.enabled and cap != self.get_cap(vm):
+        if tel.enabled:
             tel.event(
                 "resex",
                 "pricing_decision",
@@ -339,7 +366,7 @@ class ResExController:
         self.node.xenstat.set_cap(vm.domid, cap)
 
     def get_cap(self, vm: MonitoredVM) -> int:
-        return self.node.xenstat.get_cap(vm.domid)
+        return vm.vcpu.cap_percent
 
     @property
     def epoch_fraction_remaining(self) -> float:

@@ -6,7 +6,7 @@ recorders so the analysis layer has one uniform representation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +115,10 @@ class ProbeSet:
     in the ``prefix`` category) whenever tracing is enabled, so probe
     data shows up in exported traces without double bookkeeping at the
     call sites.
+
+    A component that samples the same series on every tick resolves
+    them once with :meth:`ts` and writes through :meth:`record_all`;
+    :meth:`record` is the by-name form of the same single path.
     """
 
     def __init__(self, env: "Environment", prefix: str = "") -> None:
@@ -142,11 +146,19 @@ class ProbeSet:
 
     def record(self, name: str, value: float) -> None:
         """Record a sample at the current simulation time."""
-        now = self.env.now
-        self.ts(name).record(now, value)
-        tel = self.env.telemetry
-        if tel.enabled:
-            tel.counter(self.prefix or "probe", self._key(name), now, value)
+        self.record_all(((self.ts(name), value),))
+
+    def record_all(self, samples: Iterable[Tuple[TimeSeries, float]]) -> None:
+        """Record ``(series, value)`` samples, in order, at the current
+        simulation time; each series was resolved by :meth:`ts`."""
+        env = self.env
+        now = env.now
+        tel = env.telemetry
+        cat = self.prefix or "probe"
+        for series, value in samples:
+            series.record(now, value)
+            if tel.enabled:
+                tel.counter(cat, series.name, now, value)
 
 
 def sampled_mean(series: Sequence[float]) -> float:

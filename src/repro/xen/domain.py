@@ -51,7 +51,10 @@ class Domain:
     @property
     def cpu_time_ns(self) -> int:
         """Total CPU consumed by all VCPUs (the XenStat counter)."""
-        return sum(v.cumulative_ns for v in self.vcpus)
+        total = 0
+        for vcpu in self.vcpus:
+            total += vcpu.cumulative_ns
+        return total
 
     def __repr__(self) -> str:
         return f"<Domain {self.domid} {self.name!r} vcpus={len(self.vcpus)}>"

@@ -9,7 +9,7 @@ the original.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.xen.hypervisor import Hypervisor
 
@@ -19,8 +19,8 @@ class XenStat:
 
     def __init__(self, hypervisor: Hypervisor) -> None:
         self.hypervisor = hypervisor
-        self._last_cpu_ns: Dict[int, int] = {}
-        self._last_read_at: Dict[int, int] = {}
+        #: domid -> (cumulative CPU ns, sim time) at the last read.
+        self._last_read: Dict[int, Tuple[int, int]] = {}
 
     # -- reading ---------------------------------------------------------------
     def cpu_time_ns(self, domid: int) -> int:
@@ -35,15 +35,14 @@ class XenStat:
         interval" (Algorithm 1, line 5).
         """
         now = self.hypervisor.env.now
-        current = self.cpu_time_ns(domid)
-        last = self._last_cpu_ns.get(domid)
-        last_at = self._last_read_at.get(domid)
-        self._last_cpu_ns[domid] = current
-        self._last_read_at[domid] = now
-        if last is None or last_at is None or now <= last_at:
+        domain = self.hypervisor.domain(domid)
+        current = domain.cpu_time_ns
+        last = self._last_read.get(domid)
+        self._last_read[domid] = (current, now)
+        if last is None or now <= last[1]:
             return 0.0
-        nvcpus = len(self.hypervisor.domain(domid).vcpus)
-        return 100.0 * (current - last) / ((now - last_at) * nvcpus)
+        last_cpu_ns, last_at = last
+        return 100.0 * (current - last_cpu_ns) / ((now - last_at) * len(domain.vcpus))
 
     # -- control ------------------------------------------------------------------
     def set_cap(self, domid: int, cap_percent: int) -> None:

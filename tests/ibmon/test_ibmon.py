@@ -137,3 +137,57 @@ class TestDaemonBehaviour:
         assert b_stats.buffer_size_estimate == 256 * KiB
         # The big VM moved more MTUs despite fewer requests.
         assert b_stats.estimated_mtus > s_stats.estimated_mtus
+
+
+class TestLateDiscovery:
+    """IBMon rescans for CQs only when the HCA's CQ table has grown, so
+    rings created, or domains watched, after sampling starts must still
+    be found and counted from the start of the ring."""
+
+    def test_cqs_created_after_sampling_starts_are_counted(self):
+        bed = Testbed.paper_testbed(seed=9)
+        s, c = bed.node("server-host"), bed.node("client-host")
+        cfg = BenchExConfig(name="rep", request_limit=120, warmup_requests=0)
+        pair = BenchExPair(bed, s, c, cfg)
+        domid = pair.server_dom.domid
+        # A bystander's ring already exists, so the first scans see a
+        # non-empty CQ table that holds nothing of the watched guest.
+        s.hca.create_cq(s.create_guest("bystander"))
+        ibmon = IBMon(s)
+        ibmon.watch_domain(domid)
+        ibmon.start()
+        bed.env.run(until=MS)  # four samples before the guest has a CQ
+        assert ibmon.samples_taken >= 3
+        assert not any(
+            cq.page.address_space.domid == domid for cq in s.hca.cqs.values()
+        )
+        assert ibmon.drain(domid).completions == 0
+        run_pairs(bed, [pair])  # creates the QPs/CQs, then posts sends
+        ibmon.sample_now()
+        stats = ibmon.drain(domid)
+        truth = s.hca.mtus_sent_by_domain[domid]
+        assert truth > 0
+        assert stats.completions > 0
+        assert stats.estimated_mtus == pytest.approx(truth, rel=0.03)
+
+    def test_domain_watched_after_its_cqs_exist(self):
+        bed = Testbed.paper_testbed(seed=4)
+        s, c = bed.node("server-host"), bed.node("client-host")
+        first = BenchExPair(
+            bed, s, c, BenchExConfig(name="first", request_limit=60, warmup_requests=0)
+        )
+        late = BenchExPair(
+            bed, s, c, BenchExConfig(name="late", request_limit=60, warmup_requests=0)
+        )
+        ibmon = IBMon(s)
+        ibmon.watch_domain(first.server_dom.domid)
+        ibmon.start()
+        run_pairs(bed, [first, late])
+        # Every sample so far scanned the full CQ table for ``first``.
+        assert ibmon.samples_taken > 10
+        ibmon.watch_domain(late.server_dom.domid)
+        ibmon.sample_now()
+        stats = ibmon.drain(late.server_dom.domid)
+        truth = s.hca.mtus_sent_by_domain[late.server_dom.domid]
+        assert truth > 0
+        assert stats.estimated_mtus == pytest.approx(truth, rel=0.03)

@@ -218,3 +218,49 @@ class TestStaticRatioBehaviour:
             f"resex.dom{peer.server_dom.domid}.cap"
         ].values
         assert caps.min() == 100
+
+
+class TestSetCap:
+    """An unchanged cap is not re-applied; that must change nothing a
+    trace, the scheduler or a probe can see."""
+
+    PERIOD_NS = 30_000_000
+
+    def _managed_vm(self):
+        from repro import telemetry
+
+        with telemetry.capture() as bus:
+            bed = Testbed.paper_testbed(seed=1)
+        s = bed.node("server-host")
+        dom = s.create_guest("vm")
+        ctl = ResExController(s, NoOpPolicy())
+        return bus, ctl, ctl.monitor(dom), dom
+
+    @staticmethod
+    def _names(bus):
+        return [
+            r.name for r in bus.records
+            if r.name in ("cap_change", "pricing_decision")
+        ]
+
+    def test_unchanged_cap_emits_nothing_and_keeps_budget(self):
+        bus, ctl, vm, dom = self._managed_vm()
+        ctl.set_cap(vm, 40)
+        budget = dom.vcpu.cap_budget_ns(self.PERIOD_NS)
+        bus.clear()
+        ctl.set_cap(vm, 40)
+        ctl.set_cap(vm, 40.3)  # rounds to the cap already set
+        assert self._names(bus) == []
+        assert dom.vcpu.cap_percent == 40
+        assert dom.vcpu.cap_budget_ns(self.PERIOD_NS) == budget
+        assert ctl.get_cap(vm) == 40
+
+    def test_changed_cap_emits_one_event_of_each(self):
+        bus, ctl, vm, dom = self._managed_vm()
+        ctl.set_cap(vm, 40)
+        bus.clear()
+        ctl.set_cap(vm, 25)
+        assert sorted(self._names(bus)) == ["cap_change", "pricing_decision"]
+        assert dom.vcpu.cap_percent == 25
+        assert dom.vcpu.cap_budget_ns(self.PERIOD_NS) == self.PERIOD_NS * 25 // 100
+        assert ctl.get_cap(vm) == 25

@@ -163,3 +163,27 @@ class TestRngRegistry:
     def test_same_stream_instance_returned(self):
         reg = RngRegistry(0)
         assert reg.stream("a") is reg.stream("a")
+
+
+class TestProbeSetRecordAll:
+    def test_record_all_matches_record(self):
+        """Writing through resolved series records and mirrors exactly
+        what the by-name path does, in the same order."""
+        from repro.telemetry import TelemetryBus
+
+        def run(by_name: bool):
+            env = Environment()
+            env.telemetry = TelemetryBus()
+            probes = ProbeSet(env, prefix="resex")
+            a, b = probes.ts("dom1.cap"), probes.ts("dom1.rate")
+            if by_name:
+                probes.record("dom1.cap", 40)
+                probes.record("dom1.rate", 1.5)
+            else:
+                probes.record_all([(a, 40), (b, 1.5)])
+            return (
+                [(r.name, r.ts_ns, r.value) for r in env.telemetry.records],
+                [(ts.name, ts.last()) for ts in probes.series.values()],
+            )
+
+        assert run(by_name=False) == run(by_name=True)
