@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,52 +342,6 @@ class _DomainState:
     fabric: FluidFabric
     #: Switch links this domain owns, by plan name.
     links: Dict[str, NetLink] = field(default_factory=dict)
-
-
-class WorldFederation:
-    """Serial-facing view of the message-passing price federation.
-
-    Presents the surface the old fabric-coupled ``ClusterFederation``
-    exposed to callers (``racks``, ``syncs``, ``cluster_price``) on top
-    of the per-rack :class:`~repro.resex.PriceCoordinator` /
-    :class:`~repro.resex.PriceAgent` endpoints a world actually runs.
-    """
-
-    def __init__(
-        self,
-        coordinator: Optional[PriceCoordinator],
-        agents: Dict[int, PriceAgent],
-        controllers: Sequence[Tuple[int, ResExController]],
-    ) -> None:
-        self.coordinator = coordinator
-        self.agents = dict(agents)
-        self._controllers = tuple(controllers)
-
-    @property
-    def racks(self) -> Tuple[Tuple[int, ResExController], ...]:
-        return self._controllers
-
-    @property
-    def syncs(self) -> int:
-        return self.coordinator.syncs if self.coordinator is not None else 0
-
-    @property
-    def cluster_price(self) -> float:
-        if self.coordinator is None:
-            return 1.0
-        return self.coordinator.cluster_price
-
-    def start(self) -> None:
-        if self.coordinator is not None:
-            self.coordinator.start()
-        for agent in self.agents.values():
-            agent.start()
-
-    def __repr__(self) -> str:
-        return (
-            f"<WorldFederation racks={len(self._controllers)} "
-            f"syncs={self.syncs} price={self.cluster_price:.2f}>"
-        )
 
 
 class ClusterWorld:
@@ -924,14 +878,6 @@ class ClusterSetup:
     @property
     def controllers(self) -> List[ResExController]:
         return [ctl for _r, ctl in self.world.controllers]
-
-    @property
-    def federation(self) -> Optional[WorldFederation]:
-        if not self.world.controllers:
-            return None
-        return WorldFederation(
-            self.world.coordinator, self.world.agents, self.world.controllers
-        )
 
     @property
     def pairs(self) -> List[BenchExPair]:

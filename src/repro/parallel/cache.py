@@ -24,33 +24,34 @@ Design points:
   ``repr`` (shortest round-trip form) and parses ``Infinity``/``NaN``
   constants, so cached metric values compare equal to freshly computed
   ones — the serial-equals-parallel contract survives the cache.
-* **Atomic, concurrent-safe writes.**  Payloads go through
-  :func:`repro.durable.atomic_write` (fsynced temp file,
-  ``os.replace``d into place), so a parallel sweep (or two sweeps
-  sharing a cache directory) never observes a torn file;
-  a corrupt, truncated or schema-mismatched entry is treated as a
-  miss, **deleted** (so it cannot re-trip every future sweep) and
-  reported through :attr:`ResultCache.on_corruption` — never a crash,
-  never a wrong hit.
+* **Sealed, atomic entries.**  An entry is a sealed document
+  (:func:`repro.durable.write_sealed`) replaced atomically, so sweeps
+  sharing a cache directory never observe a torn file.  An entry that
+  fails verification (JSON, schema tag, digest) is treated as a miss,
+  **deleted** (so it cannot re-trip every future sweep) and reported
+  through :attr:`ResultCache.on_corruption` — never a crash, never a
+  wrong hit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import errno
 import importlib
-import json
 import os
 import pathlib
 from typing import Any, Callable, Dict, Optional
 
 from repro._version import __version__
-from repro.durable import atomic_write, canonical_digest
+from repro.durable import canonical_digest, read_sealed, write_sealed
 from repro.errors import CacheCorruption, Uncacheable
 
-#: Payload schema identifier; bump when the stored document shape
-#: changes (also invalidates every existing entry, on purpose).
-CELL_SCHEMA = "repro-cell/1"
+#: Entry schema tag; bump when the stored document shape changes.
+#: Entries under any other tag fail verification and are dropped.
+CELL_SCHEMA = "repro-cell/2"
+
+#: The tag hashed into every cell address: it names the addressing
+#: scheme, so entry schema bumps keep every address.
+_KEY_SCHEMA = "repro-cell/1"
 
 #: Spec knobs that change how a cell *executes*, never what it
 #: computes, and are therefore excluded from its content address.
@@ -198,7 +199,7 @@ def cell_key(
     encoded.
     """
     doc = {
-        "schema": CELL_SCHEMA,
+        "schema": _KEY_SCHEMA,
         "version": version,
         "kind": kind,
         "name": name,
@@ -247,43 +248,17 @@ class ResultCache:
         """The stored metrics payload, or ``None`` on miss/corruption.
 
         A genuinely absent entry is a plain miss.  An entry that exists
-        but cannot be realized — unreadable, truncated/invalid JSON,
-        wrong schema, mis-shaped payload — is *deleted* and reported
-        through :attr:`on_corruption`, then treated as a miss: the
-        cell recomputes and the rewritten entry heals the cache.
+        but does not verify — unreadable, truncated/invalid JSON, wrong
+        schema, digest mismatch — is *deleted* and reported through
+        :attr:`on_corruption`, then treated as a miss: the cell
+        recomputes and the rewritten entry heals the cache.
         """
         path = self._path(key)
         try:
-            return self._read_entry(path)
-        except FileNotFoundError:
-            return None
+            return read_sealed(path, CELL_SCHEMA, "metrics", CacheCorruption)
         except CacheCorruption as exc:
             self._drop_corrupt(path, key, str(exc))
             return None
-
-    def _read_entry(self, path: pathlib.Path) -> Dict[str, Any]:
-        """Read and validate one entry; raises :class:`CacheCorruption`
-        for anything other than a clean hit or a clean miss."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            if exc.errno == errno.ENOENT:
-                raise FileNotFoundError(path) from None
-            raise CacheCorruption(f"unreadable entry: {exc}") from None
-        except ValueError as exc:
-            raise CacheCorruption(f"invalid JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("schema") != CELL_SCHEMA:
-            got = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
-            raise CacheCorruption(
-                f"schema mismatch: expected {CELL_SCHEMA!r}, got {got!r}"
-            )
-        metrics = doc.get("metrics")
-        if not isinstance(metrics, dict):
-            raise CacheCorruption(
-                f"metrics payload is {type(metrics).__name__}, not a mapping"
-            )
-        return metrics
 
     def _drop_corrupt(self, path: pathlib.Path, key: str, reason: str) -> None:
         try:
@@ -300,17 +275,9 @@ class ResultCache:
                 f"dropped corrupt cache entry {key[:12]}...: {reason}"
             )
 
-    def store(self, key: str, metrics: Dict[str, Any], meta: Optional[Dict[str, Any]] = None) -> None:
+    def store(self, key: str, metrics: Dict[str, Any]) -> None:
         """Atomically persist ``metrics`` under ``key``."""
-        doc = {
-            "schema": CELL_SCHEMA,
-            "version": self.version,
-            "metrics": metrics,
-        }
-        if meta:
-            doc["meta"] = meta
-        data = json.dumps(doc, sort_keys=True) + "\n"
-        atomic_write(self._path(key), data.encode("utf-8"))
+        write_sealed(self._path(key), CELL_SCHEMA, "metrics", metrics)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

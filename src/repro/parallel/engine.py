@@ -691,7 +691,7 @@ def _schedule(
                 # Tainted metrics never enter the cache: a warm hit
                 # carries no violation record, so caching them would
                 # launder the taint into a future "clean" sweep.
-                store.store(p.key, metrics, meta={"job": p.job.label})
+                store.store(p.key, metrics)
             _settle(p.idx, CellResult(
                 metrics=metrics,
                 payload=envelope.get("payload"),

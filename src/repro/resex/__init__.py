@@ -2,7 +2,6 @@
 
 from repro.resex.controller import MonitoredVM, ResExController
 from repro.resex.federation import (
-    ClusterFederation,
     Follower,
     PriceAgent,
     PriceCoordinator,
@@ -24,7 +23,6 @@ from repro.resex.resos import ResoAccount, ResoParams, provision_accounts
 from repro.resex.static_ratio import StaticRatio
 
 __all__ = [
-    "ClusterFederation",
     "Follower",
     "FreeMarket",
     "HwShares",

@@ -100,10 +100,12 @@ class ResExController:
         self.mtu_window = mtu_window
         self.weights = weights
         self.vms: List[MonitoredVM] = []
-        #: Cluster-wide congestion price imposed by a
-        #: :class:`~repro.resex.federation.ClusterFederation` (1.0 =
-        #: calm).  Cluster-following policies (rack-follower) read it
-        #: every interval; purely local deployments never touch it.
+        #: Cluster-wide congestion price (1.0 = calm), set when this
+        #: rack's :class:`~repro.resex.federation.PriceCoordinator`
+        #: reduces a round or its :class:`~repro.resex.federation.
+        #: PriceAgent` applies a cast.  Cluster-following policies
+        #: (rack-follower) read it every interval; purely local
+        #: deployments never touch it.
         self.cluster_price = 1.0
         self.probes = ProbeSet(self.env, prefix="resex")
         self.intervals_run = 0
@@ -155,7 +157,7 @@ class ResExController:
 
     def local_price(self) -> float:
         """The highest charge rate currently imposed on any managed VM
-        — what this rack reports to a :class:`ClusterFederation`."""
+        — what this rack reports to the price federation each round."""
         price = 1.0
         for vm in self.vms:
             if vm.charge_rate > price:

@@ -24,26 +24,23 @@ than a two-host afterthought:
 * :class:`RackFollower` — a Follower variant whose imposed price is
   the controller-wide :attr:`~repro.resex.controller.ResExController.
   cluster_price` a federation maintains, instead of a per-VM relay.
-* :class:`ClusterFederation` — one ResEx controller per rack, with
-  congestion prices gossiped across racks **over the simulated
-  fabric**: each sync round the rack heads send their local price to
-  the first-registered rack (the coordinator), which reduces them to
-  the cluster price and broadcasts it back.  Every control message is
-  a real fabric transfer along the topology's static route, so price
-  propagation contends for (and is delayed by) the very links it is
-  trying to govern.
+* :class:`PriceCoordinator` / :class:`PriceAgent` — the two endpoints
+  of the per-rack price federation: each sync round every agent sends
+  its rack's local price to the coordinator (rack 0), which reduces
+  them to the cluster price and casts it back.  The endpoints only
+  exchange messages through a ``send`` callback the deployment owns;
+  the cluster world routes each one as a real fabric transfer, so
+  price propagation contends for (and is delayed by) the very links
+  it is trying to govern.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.errors import PricingError
-from repro.hw.fabric import FluidFabric
-from repro.hw.host import path_between
 from repro.resex.ioshares import IOShares
 from repro.resex.policy import register_policy
-from repro.sim.events import AllOf
 from repro.units import US
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,9 +136,11 @@ class ResExFederation:
 
 @register_policy
 class RackFollower(IOShares):
-    """Applies the cluster-wide congestion price a
-    :class:`ClusterFederation` maintains to every managed VM, then
-    charges and actuates like IOShares.  No local interference
+    """Applies the federated cluster-wide congestion price to every VM.
+
+    The price is the one the :class:`PriceCoordinator`/
+    :class:`PriceAgent` federation maintains; the policy then charges
+    and actuates like IOShares.  No local interference
     detection: racks that only host the remote halves of cross-rack
     flows run this, so a price discovered in one rack throttles the
     flows' other ends everywhere."""
@@ -153,125 +152,6 @@ class RackFollower(IOShares):
         for vm in controller.vms:
             vm.charge_rate = price
             self._charge_and_actuate(controller, vm)
-
-
-class ClusterFederation:
-    """Per-rack ResEx controllers with fabric-borne price gossip.
-
-    One controller per rack registers under its rack id.  Every sync
-    round the non-coordinator rack heads each send one control message
-    (a real fabric transfer along the topology's static route) to the
-    coordinator — the first-registered rack — carrying their local
-    price (the rack's highest VM charge rate, sampled at send time).
-    The coordinator reduces them with ``max`` and broadcasts the
-    cluster price back the same way; only when the last broadcast
-    message lands is :attr:`ResExController.cluster_price` updated on
-    every rack, so price propagation pays the latency and contention of
-    the very fabric it governs.
-
-    ``paused`` is the :mod:`repro.faults` hook: while set, sync rounds
-    fire but their messages are lost and every rack keeps its stale
-    price — the same semantics as :class:`ResExFederation`.
-    """
-
-    def __init__(
-        self,
-        env,
-        fabric: FluidFabric,
-        sync_interval_ns: int = 1_000_000,
-        payload_bytes: int = 256,
-    ) -> None:
-        if sync_interval_ns <= 0:
-            raise PricingError("sync interval must be positive")
-        if payload_bytes < 0:
-            raise PricingError("payload size must be >= 0")
-        self.env = env
-        self.fabric = fabric
-        self.sync_interval_ns = sync_interval_ns
-        self.payload_bytes = payload_bytes
-        self._racks: List[Tuple[int, "ResExController"]] = []
-        #: The current cluster-wide congestion price (1.0 = calm).
-        self.cluster_price = 1.0
-        self.syncs = 0
-        self.syncs_lost = 0
-        self.paused = False
-        self._proc = None
-
-    def register(self, rack_id: int, controller: "ResExController") -> None:
-        """Register ``controller`` as rack ``rack_id``'s manager.
-
-        The first registration becomes the coordinator rack.
-        """
-        if self._proc is not None:
-            raise PricingError(
-                "cannot register racks after the federation started"
-            )
-        if any(rid == rack_id for rid, _ in self._racks):
-            raise PricingError(f"rack {rack_id} is already registered")
-        if any(ctl is controller for _, ctl in self._racks):
-            raise PricingError(
-                "controller is already registered under another rack"
-            )
-        self._racks.append((rack_id, controller))
-
-    @property
-    def racks(self) -> Tuple[Tuple[int, "ResExController"], ...]:
-        return tuple(self._racks)
-
-    def start(self) -> None:
-        if len(self._racks) < 2:
-            raise PricingError("a cluster federation needs at least two racks")
-        if self._proc is None:
-            self._proc = self.env.process(
-                self._run(), name="resex-cluster-federation"
-            )
-
-    def _messages(
-        self, pairs: List[Tuple[object, object]], label: str
-    ) -> AllOf:
-        """One control transfer per (src_host, dst_host) pair."""
-        done = [
-            self.fabric.submit(
-                path_between(src, dst), self.payload_bytes, f"fed.{label}.{i}"
-            ).done
-            for i, (src, dst) in enumerate(pairs)
-        ]
-        return AllOf(self.env, done)
-
-    def _run(self):
-        coord = self._racks[0][1]
-        coord_host = coord.node.host
-        while True:
-            yield self.env.timeout(self.sync_interval_ns)
-            if self.paused:
-                # Federation down: this round's messages are lost and
-                # every rack keeps applying its stale price.
-                self.syncs_lost += 1
-                continue
-            # Gather: prices are sampled at send time — what the wire
-            # carries — in registration order (deterministic max).
-            prices = [coord.local_price()]
-            prices += [ctl.local_price() for _, ctl in self._racks[1:]]
-            yield self._messages(
-                [(ctl.node.host, coord_host) for _, ctl in self._racks[1:]],
-                "gather",
-            )
-            price = max(prices)
-            # Broadcast the reduced price back to every rack head.
-            yield self._messages(
-                [(coord_host, ctl.node.host) for _, ctl in self._racks[1:]],
-                "cast",
-            )
-            self.cluster_price = price
-            for _, ctl in self._racks:
-                ctl.cluster_price = price
-            self.syncs += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"<ClusterFederation racks={len(self._racks)} "
-            f"price={self.cluster_price:.2f} syncs={self.syncs}>"
-        )
 
 
 #: The wire signature of the message-passing federation: a transport
@@ -288,16 +168,14 @@ _LOST: Dict[int, float] = {}
 class PriceCoordinator:
     """Rack 0's end of the message-passing price federation.
 
-    :class:`ClusterFederation` mutates every rack's controller directly
-    from one process — fine for a single environment, impossible once
-    racks are partitioned across shard workers
-    (:mod:`repro.sim.shard`).  This pair of endpoints carries the same
-    protocol over *messages only*: each sync round every
-    :class:`PriceAgent` sends its rack's local price to the
-    coordinator (``gather``), which reduces the round with ``max`` and
-    sends the cluster price back (``cast``).  How a message travels is
-    the deployment's business — the ``send`` callback is handed in —
-    so the identical objects run serially or sharded.
+    Racks may be partitioned across shard workers
+    (:mod:`repro.sim.shard`), so the federation runs over *messages
+    only*: each sync round every :class:`PriceAgent` sends its rack's
+    local price to the coordinator (``gather``), which reduces the
+    round with ``max`` and sends the cluster price back (``cast``).
+    How a message travels is the deployment's business — the ``send``
+    callback is handed in — so the identical objects run serially or
+    sharded.
 
     Rounds are numbered by sync ticks (every endpoint ticks on the
     same interval from t=0, so numbering agrees cluster-wide) and are
@@ -365,7 +243,7 @@ class PriceCoordinator:
         bucket = self._pending.get(round_no)
         if bucket is None or bucket is _LOST:
             # Round already closed or lost while paused: message is
-            # stale, drop it (same loss semantics as ClusterFederation).
+            # stale, drop it.
             return
         bucket[src_rack] = price
         self._try_complete()

@@ -41,12 +41,11 @@ is what makes the sim-mode response-log golden byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.durable import atomic_write, canonical_digest
+from repro.durable import read_sealed, write_sealed
 from repro.errors import AdmissionError, CheckpointError, ConfigError
 from repro.experiments.platform import Node, Testbed
 from repro.resex import ResExController, policy_by_name
@@ -429,52 +428,19 @@ WORLD_FILE_SCHEMA = "resex-world-file/1"
 
 
 def save_world_snapshot(path: str, snap: Dict[str, Any]) -> str:
-    """Atomically persist a world snapshot, digest-stamped.
-
-    Written with :func:`repro.durable.atomic_write`, so a crash
-    mid-write can never leave a half snapshot under the final name.
-    Returns the snapshot's content digest.
-    """
-    digest = canonical_digest(snap)
-    doc = {"schema": WORLD_FILE_SCHEMA, "digest": digest, "snapshot": snap}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    atomic_write(path, text.encode("utf-8"))
-    return digest
+    """Atomically persist a world snapshot as a sealed document
+    (:func:`repro.durable.write_sealed`); returns its content digest."""
+    return write_sealed(path, WORLD_FILE_SCHEMA, "snapshot", snap)
 
 
 def load_world_snapshot(path: str) -> Dict[str, Any]:
     """Read and verify a snapshot file; returns the snapshot payload.
 
-    Raises :class:`~repro.errors.CheckpointError` on an unreadable,
-    truncated, mis-schemed or digest-mismatched file — the caller
-    decides whether that is fatal (a ``--restore`` always is).
+    Raises :class:`~repro.errors.CheckpointError` on a missing,
+    unreadable, truncated, mis-schemed or digest-mismatched file — the
+    caller decides whether that is fatal (a ``--restore`` always is).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read world snapshot {path}: {exc}") from None
-    except ValueError as exc:
-        raise CheckpointError(
-            f"world snapshot {path} is not valid JSON: {exc}"
-        ) from None
-    if not isinstance(doc, dict) or doc.get("schema") != WORLD_FILE_SCHEMA:
-        got = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
-        raise CheckpointError(
-            f"world snapshot {path} schema mismatch: expected "
-            f"{WORLD_FILE_SCHEMA!r}, got {got!r}"
-        )
-    snap = doc.get("snapshot")
-    if not isinstance(snap, dict):
-        raise CheckpointError(
-            f"world snapshot {path} payload is "
-            f"{type(snap).__name__}, not a mapping"
-        )
-    digest = canonical_digest(snap)
-    if digest != doc.get("digest"):
-        raise CheckpointError(
-            f"world snapshot {path} digest mismatch: stamped "
-            f"{str(doc.get('digest'))[:12]}..., computed {digest[:12]}... "
-            "(torn write or corruption)"
-        )
+    snap = read_sealed(path, WORLD_FILE_SCHEMA, "snapshot", CheckpointError)
+    if snap is None:
+        raise CheckpointError(f"cannot read world snapshot {path}: no such file")
     return snap

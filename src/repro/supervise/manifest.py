@@ -1,17 +1,19 @@
 """Append-only JSONL run manifest: the sweep's durable ledger.
 
 A supervised sweep writes one manifest file next to the result cache.
-Every line is one self-contained JSON record; the file is only ever
-appended to, each append is a **single** ``O_APPEND`` ``write`` (plus
-``fsync``), so a record is either fully present or entirely absent —
-a ``SIGKILL`` mid-sweep can at worst leave one torn trailing line,
-which replay detects and ignores.
+Every line is one sealed record: the record under the ``repro-run/2``
+schema tag and the digest of its own canonical encoding, appended by
+:func:`repro.durable.append_record` as a single write plus ``fsync``.
+A ``SIGKILL`` mid-sweep can at worst leave one torn,
+unterminated trailing line, which replay drops; any other line that
+fails to verify raises :class:`~repro.errors.CacheCorruption` naming
+its line.
 
 Record types (the ``type`` field):
 
 ``run``
-    Header: schema id, run id, package version, invariant mode, and
-    the number of cells.  Always the first record.
+    Header: run id, package version, invariant mode, and the number
+    of cells.  Always the first record.
 ``job``
     One per cell, in submission order: kind / name / seed plus the
     :func:`~repro.parallel.cache.canonical` encoding of the spec (or
@@ -37,20 +39,18 @@ the crash being resumed from) count as pending again.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
-from repro.durable import canonical_digest
+from repro.durable import append_record, canonical_digest, read_records
 from repro.errors import CacheCorruption, ConfigError, Uncacheable
 from repro.parallel.cache import canonical, uncanonical
 from repro.parallel.engine import SweepJob
 
 #: Manifest schema identifier; bump when the record shape changes.
-RUN_SCHEMA = "repro-run/1"
+RUN_SCHEMA = "repro-run/2"
 
 #: Cell states, in state-machine order.
 PENDING = "pending"
@@ -113,7 +113,7 @@ class ManifestState:
     #: was null (uncacheable) or no longer decodable.
     jobs: List[Optional[SweepJob]] = field(default_factory=list)
     cells: Dict[int, CellRecord] = field(default_factory=dict)
-    #: Trailing torn/undecodable lines skipped during replay.
+    #: Torn trailing lines dropped during replay (0 or 1).
     skipped_lines: int = 0
 
     def cell(self, index: int) -> CellRecord:
@@ -137,16 +137,7 @@ class RunManifest:
 
     # -- writing -------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        """Atomically append one record (single O_APPEND write + fsync)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, line.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_record(self.path, RUN_SCHEMA, record)
 
     def write_header(
         self, run_id: str, jobs: List[SweepJob], invariant_mode: str
@@ -162,7 +153,6 @@ class RunManifest:
         self._append(
             {
                 "type": "run",
-                "schema": RUN_SCHEMA,
                 "run_id": run_id,
                 "version": __version__,
                 "invariant_mode": invariant_mode,
@@ -249,85 +239,56 @@ class RunManifest:
         """Fold the manifest into a :class:`ManifestState`.
 
         Tolerant of exactly the damage SIGKILL can cause: a torn final
-        line is skipped.  Structural damage earlier in the file (it is
-        append-only; nothing rewrites it) raises
+        line is dropped.  Any other damage (the file is append-only;
+        nothing rewrites it) or another schema raises
         :class:`CacheCorruption`.
         """
-        try:
-            raw = self.path.read_bytes()
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot read run manifest {self.path}: {exc}"
-            ) from None
-        lines = raw.split(b"\n")
-        state: Optional[ManifestState] = None
-        skipped = 0
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if lineno >= len(lines) - 2:
-                    skipped += 1  # torn trailing write from a kill
-                    continue
-                raise CacheCorruption(
-                    f"manifest {self.path} line {lineno + 1} is not JSON"
-                )
-            rtype = record.get("type")
-            if rtype == "run":
-                if record.get("schema") != RUN_SCHEMA:
-                    raise CacheCorruption(
-                        f"manifest schema {record.get('schema')!r} != "
-                        f"{RUN_SCHEMA!r}"
-                    )
-                state = ManifestState(
-                    run_id=record.get("run_id", ""),
-                    version=record.get("version", ""),
-                    invariant_mode=record.get("invariant_mode", "off"),
-                    n_jobs=int(record.get("jobs", 0)),
-                )
-                state.jobs = [None] * state.n_jobs
-            elif state is None:
-                raise CacheCorruption(
-                    f"manifest {self.path} does not start with a run record"
-                )
-            elif rtype == "job":
-                index = int(record["index"])
-                spec_doc = record.get("spec")
-                if spec_doc is None:
+        read = read_records(self.path, RUN_SCHEMA, CacheCorruption)
+        if read is None:
+            raise ConfigError(f"cannot read run manifest {self.path}: no such file")
+        records, torn = read
+        if not records:
+            raise CacheCorruption(f"manifest {self.path} is empty")
+        header = records[0]
+        state = ManifestState(
+            run_id=header["run_id"],
+            version=header["version"],
+            invariant_mode=header["invariant_mode"],
+            n_jobs=header["jobs"],
+            jobs=[None] * header["jobs"],
+            skipped_lines=torn,
+        )
+        for record in records[1:]:
+            rtype = record["type"]
+            if rtype == "job":
+                if record["spec"] is None:
                     continue  # uncacheable spec: cell is not resumable
                 try:
-                    spec = uncanonical(spec_doc)
+                    spec = uncanonical(record["spec"])
                 except CacheCorruption:
                     continue  # stored type no longer importable
-                if 0 <= index < state.n_jobs:
-                    state.jobs[index] = SweepJob(
-                        kind=record["kind"],
-                        name=record["name"],
-                        seed=int(record["seed"]),
-                        spec=spec,
-                    )
+                state.jobs[record["index"]] = SweepJob(
+                    kind=record["kind"],
+                    name=record["name"],
+                    seed=record["seed"],
+                    spec=spec,
+                )
             elif rtype == "state":
-                index = int(record["index"])
-                cell = state.cell(index)
-                cell.state = record.get("state", PENDING)
-                cell.attempts = max(cell.attempts, int(record.get("attempt", 0)))
+                cell = state.cell(record["index"])
+                cell.state = record["state"]
+                cell.attempts = max(cell.attempts, record["attempt"])
                 if cell.state == DONE:
-                    cell.digest = record.get("digest")
-                    cell.metrics = record.get("metrics")
-                    cell.tainted = bool(record.get("tainted"))
+                    cell.digest = record["digest"]
+                    cell.metrics = record["metrics"]
+                    cell.tainted = record["tainted"]
                     cell.violations = list(record.get("violations", ()))
                     cell.error = None
                     cell.error_code = None
                 elif cell.state in (RETRYING, QUARANTINED):
-                    cell.error = record.get("error")
-                    cell.error_code = record.get("error_code", "error")
+                    cell.error = record["error"]
+                    cell.error_code = record["error_code"]
             # Unknown record types are skipped: newer writers may add
             # them and an old reader should still replay what it knows.
-        if state is None:
-            raise CacheCorruption(f"manifest {self.path} is empty")
-        state.skipped_lines = skipped
         return state
 
     def __repr__(self) -> str:

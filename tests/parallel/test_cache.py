@@ -128,7 +128,19 @@ class TestResultCache:
             json.dumps({"schema": "other/9", "metrics": {"v": 1.0}})
         )
         assert cache.load(key) is None
-        assert CELL_SCHEMA == "repro-cell/1"
+        assert CELL_SCHEMA == "repro-cell/2"
+
+    def test_unsealed_entry_of_the_old_schema_is_a_miss(self, tmp_path):
+        """``repro-cell/1`` entries carried no digest; they are dropped
+        as misses instead of being read by a second reader."""
+        cache = ResultCache(tmp_path, on_corruption=lambda k, r: None)
+        key = cache.key("scenario", "x", 1, {})
+        cache._path(key).parent.mkdir(parents=True, exist_ok=True)
+        cache._path(key).write_text(json.dumps(
+            {"schema": "repro-cell/1", "version": "1.0", "metrics": {"v": 1.0}}
+        ))
+        assert cache.load(key) is None
+        assert cache.corrupt_dropped == 1
 
     def test_version_partitions_the_cache(self, tmp_path):
         old = ResultCache(tmp_path, version="1.0")

@@ -1,4 +1,6 @@
-"""Tests for cross-host federated ResEx (Follower + ResExFederation)."""
+"""Tests for federated ResEx: the two-host relay (Follower +
+ResExFederation) and the per-rack price federation endpoints
+(PriceCoordinator + PriceAgent)."""
 
 import pytest
 
@@ -7,10 +9,11 @@ from repro.errors import PricingError
 from repro.experiments import Testbed
 from repro.hw import LeafSpine
 from repro.resex import (
-    ClusterFederation,
     Follower,
     IOShares,
     LatencySLA,
+    PriceAgent,
+    PriceCoordinator,
     RackFollower,
     ResExController,
     ResExFederation,
@@ -227,48 +230,77 @@ def build_cluster_bed(racks=3, seed=3):
     return bed, controllers
 
 
+SYNC_NS = 1_000_000
+
+
+def wire_price_federation(env, controllers, delay_ns=40_000):
+    """Coordinator on rack 0 and an agent on every other rack, joined by
+    an in-process ``send`` that delivers each message ``delay_ns`` later.
+
+    Returns the endpoints by rack id (index 0 is the coordinator).
+    """
+    endpoints = []
+
+    def send(src, dst, verb, round_no, price):
+        def deliver(_ev):
+            if verb == "gather":
+                endpoints[0].on_gather(round_no, src, price)
+            else:
+                endpoints[dst].on_cast(round_no, price)
+
+        env.timeout(delay_ns).callbacks.append(deliver)
+
+    endpoints.append(
+        PriceCoordinator(env, controllers[0], len(controllers), SYNC_NS, send)
+    )
+    for r, ctl in enumerate(controllers[1:], 1):
+        endpoints.append(PriceAgent(env, r, ctl, SYNC_NS, send))
+    for endpoint in endpoints:
+        endpoint.start()
+    return endpoints
+
+
 class TestClusterFederation:
-    def test_price_gossips_over_the_fabric(self):
+    """The per-rack price federation: a PriceCoordinator on rack 0 and
+    a PriceAgent on every other rack."""
+
+    def test_price_lands_only_after_the_cast(self):
         """A price discovered in rack 0 reaches every rack's
-        cluster_price after one gather + broadcast round — and not
-        before the broadcast messages have crossed the fabric."""
+        cluster_price after one gather + cast round — the coordinator
+        once the last gather arrives, each agent once its cast does."""
         bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
+        coord, *agents = wire_price_federation(bed.env, ctls)
         ctls[0].vms[0].charge_rate = 7.0
 
-        # At the sync instant the control messages are still in flight.
-        bed.env.run(until=1_000_001)
-        assert fed.cluster_price == 1.0
-        # Well after the round trip: reduced and applied everywhere.
-        bed.env.run(until=1_200_000)
-        assert fed.cluster_price == 7.0
+        # At the sync instant the gathers are still in flight.
+        bed.env.run(until=SYNC_NS + 1)
+        assert all(ctl.cluster_price == 1.0 for ctl in ctls)
+        # Gathers landed and the round reduced; casts still in flight.
+        bed.env.run(until=SYNC_NS + 60_000)
+        assert coord.cluster_price == ctls[0].cluster_price == 7.0
+        assert all(ctl.cluster_price == 1.0 for ctl in ctls[1:])
+        # The casts landed: applied everywhere, one round each.
+        bed.env.run(until=SYNC_NS + 100_000)
         assert all(ctl.cluster_price == 7.0 for ctl in ctls)
-        assert fed.syncs == 1
+        assert coord.syncs == 1
+        assert all(agent.syncs == 1 for agent in agents)
 
     def test_max_reduce_across_racks(self):
         bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
+        coord, *agents = wire_price_federation(bed.env, ctls)
         ctls[1].vms[0].charge_rate = 3.0
         ctls[2].vms[0].charge_rate = 5.0
-        bed.env.run(until=2_000_000)
-        assert fed.cluster_price == 5.0
+        bed.env.run(until=2 * SYNC_NS)
+        assert coord.cluster_price == 5.0
+        assert all(agent.cluster_price == 5.0 for agent in agents)
 
     def test_rack_follower_applies_cluster_price(self):
         """A started RackFollower controller prices its VMs at the
         federated cluster price and actuates the congestion cap."""
         bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
         follower = ctls[1]
         follower.start()
-        fed.start()
+        wire_price_federation(bed.env, ctls)
         ctls[0].vms[0].charge_rate = 4.0
         bed.env.run(until=int(0.1 * SEC))
         vm = follower.vms[0]
@@ -277,35 +309,34 @@ class TestClusterFederation:
 
     def test_paused_federation_loses_rounds(self):
         bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric, sync_interval_ns=1_000_000)
-        for r, ctl in enumerate(ctls):
-            fed.register(r, ctl)
-        fed.start()
+        coord, *agents = wire_price_federation(bed.env, ctls)
         ctls[0].vms[0].charge_rate = 9.0
-        fed.paused = True
+        coord.paused = True
         bed.env.run(until=3_500_000)
-        assert fed.cluster_price == 1.0
-        assert fed.syncs == 0 and fed.syncs_lost == 3
-        fed.paused = False
+        assert all(ctl.cluster_price == 1.0 for ctl in ctls)
+        assert coord.syncs == 0 and coord.syncs_lost == 3
+        assert all(agent.syncs == 0 for agent in agents)
+        coord.paused = False
         bed.env.run(until=5_000_000)
-        assert fed.cluster_price == 9.0
-        assert fed.syncs >= 1
+        assert all(ctl.cluster_price == 9.0 for ctl in ctls)
+        assert coord.syncs >= 1
 
-    def test_registration_validation(self):
+    def test_agent_drops_stale_casts(self):
         bed, ctls = build_cluster_bed()
-        fed = ClusterFederation(bed.env, bed.fabric)
-        fed.register(0, ctls[0])
-        with pytest.raises(PricingError, match="already registered"):
-            fed.register(0, ctls[1])
-        with pytest.raises(PricingError, match="another rack"):
-            fed.register(1, ctls[0])
-        with pytest.raises(PricingError, match="at least two racks"):
-            fed.start()
-        fed.register(1, ctls[1])
-        fed.start()
-        with pytest.raises(PricingError, match="after the federation started"):
-            fed.register(2, ctls[2])
+        agent = PriceAgent(bed.env, 1, ctls[1], SYNC_NS, send=None)
+        agent.on_cast(2, 6.0)
+        agent.on_cast(1, 3.0)  # an older round arriving late
+        agent.on_cast(2, 8.0)  # a repeat of an applied round
+        assert ctls[1].cluster_price == 6.0
+        assert agent.syncs == 1
+
+    def test_constructor_validation(self):
+        bed, ctls = build_cluster_bed()
         with pytest.raises(PricingError, match="positive"):
-            ClusterFederation(bed.env, bed.fabric, sync_interval_ns=0)
-        with pytest.raises(PricingError, match=">= 0"):
-            ClusterFederation(bed.env, bed.fabric, payload_bytes=-1)
+            PriceCoordinator(bed.env, ctls[0], 3, 0, send=None)
+        with pytest.raises(PricingError, match="at least two racks"):
+            PriceCoordinator(bed.env, ctls[0], 1, SYNC_NS, send=None)
+        with pytest.raises(PricingError, match="positive"):
+            PriceAgent(bed.env, 1, ctls[1], 0, send=None)
+        with pytest.raises(PricingError, match="rack 0 is the coordinator"):
+            PriceAgent(bed.env, 0, ctls[1], SYNC_NS, send=None)

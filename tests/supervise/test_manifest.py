@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.durable import append_record
 from repro.errors import CacheCorruption, ConfigError
 from repro.parallel import SweepJob
 from repro.supervise import (
@@ -13,6 +14,7 @@ from repro.supervise import (
     QUARANTINED,
     RETRYING,
     RUNNING,
+    RUN_SCHEMA,
     RunManifest,
     result_digest,
 )
@@ -149,10 +151,29 @@ class TestCrashTolerance:
         with pytest.raises(CacheCorruption, match="schema"):
             RunManifest(path).replay()
 
+    def test_old_schema_is_refused_naming_both(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        header = {"type": "run", "schema": "repro-run/1", "run_id": "r",
+                  "version": "1.0", "invariant_mode": "off", "jobs": 0}
+        path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        with pytest.raises(CacheCorruption, match="repro-run/2.*repro-run/1"):
+            RunManifest(path).replay()
+
+    def test_changed_metric_names_its_line(self, tmp_path):
+        """A done record edited after it was written — even one that
+        still parses — is refused, not served to a resume."""
+        m = _manifest(tmp_path)
+        m.record_done(0, 1, {"total_mean": 123.5})
+        m.record_done(1, 1, {"total_mean": 7.0})
+        text = m.path.read_text()
+        assert text.count("123.5") == 1
+        m.path.write_text(text.replace("123.5", "923.5"))
+        with pytest.raises(CacheCorruption, match="line 5: "):
+            m.replay()
+
     def test_unknown_record_types_are_ignored(self, tmp_path):
         m = _manifest(tmp_path)
-        with open(m.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "note", "text": "future"}) + "\n")
+        append_record(m.path, RUN_SCHEMA, {"type": "note", "text": "future"})
         m.record_done(0, 1, {"x": 1.0})
         assert m.replay().cells[0].state == DONE
 

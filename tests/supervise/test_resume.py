@@ -104,7 +104,7 @@ class TestKillAndResume:
             # Every worker notices its parent died, idle or mid-cell:
             # no orphan keeps running cells, heartbeats or checkpoints.
             pids = {
-                json.loads(line).get("pid")
+                json.loads(line)["record"].get("pid")
                 for line in manifest_path.read_text().splitlines()
                 if '"state":"running"' in line
             }
@@ -154,14 +154,8 @@ class TestKillAndResume:
             for ln in lines
             if not ('"index":2' in ln and '"state":"done"' in ln)
         ]
-        kept.append(
-            json.dumps(
-                {"type": "state", "index": 2, "attempt": 1, "state": "running"},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
         manifest.path.write_text("\n".join(kept) + "\n")
+        manifest.record_running(2, 1)
 
         state = manifest.replay()
         assert state.cells[2].state == "running"
@@ -227,19 +221,8 @@ class TestShardedCellResume:
             for ln in lines
             if not (f'"index":{victim}' in ln and '"state":"done"' in ln)
         ]
-        kept.append(
-            json.dumps(
-                {
-                    "type": "state",
-                    "index": victim,
-                    "attempt": 1,
-                    "state": "running",
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
         manifest.path.write_text("\n".join(kept) + "\n")
+        manifest.record_running(victim, 1)
 
         resumed = resume_sweep(
             "sharded", run_dir=run_dir, jobs=self._jobs(shards=2), policy=FAST

@@ -126,7 +126,8 @@ class TestRun:
             vms_per_host=1, n_flows=10, sim_s=0.01, with_resex=False,
         )
         setup = build_cluster(spec, seed=3)
-        assert setup.federation is None and not setup.controllers
+        assert setup.world.coordinator is None and not setup.world.agents
+        assert not setup.controllers
         m = setup.execute().metrics()
         assert m["federation_syncs"] == 0.0
         assert "reporting_p50_us" not in m
@@ -135,8 +136,8 @@ class TestRun:
         setup = build_cluster(TINY, seed=3)
         assert len(setup.rack_heads) == 2
         assert len(setup.controllers) == 2
-        assert setup.federation is not None
-        assert len(setup.federation.racks) == 2
+        assert setup.world.coordinator is not None
+        assert list(setup.world.agents) == [1]
         # Rack heads host the controllers, in rack order.
         for head, ctl in zip(setup.rack_heads, setup.controllers):
             assert ctl.node is head
