@@ -138,11 +138,20 @@ def read_sealed(
 
 def append_record(path: Union[str, Path], schema: str, record: Dict[str, Any]) -> None:
     """Append ``record`` to the log at ``path`` as one sealed line of
-    compact canonical JSON: a single ``O_APPEND`` write, then fsync."""
+    compact canonical JSON: a single ``O_APPEND`` write, then fsync.
+
+    An unterminated last line is a write torn by a crash (see
+    :func:`read_records`).  It is truncated away first, back to the last
+    newline, so the new record gets a line of its own instead of merging
+    with the fragment.  The log has one writer.
+    """
     doc = _seal(schema, "record", record)
     line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
         os.write(fd, (line + "\n").encode())
         os.fsync(fd)
     finally:

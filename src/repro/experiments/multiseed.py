@@ -24,6 +24,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+# The cells submitted here run scenarios.  Loading their module before
+# the pool forks lets every worker inherit it, where a worker that
+# imported it itself would pay for that on every sweep.
+import repro.experiments.scenarios  # noqa: F401
 from repro.errors import ConfigError, SweepError
 from repro.parallel import SweepJob, SweepReport, SweepResult, run_sweep
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 import hashlib
 from typing import Dict
 
-import numpy as np
+# numpy loads ``numpy.random`` on first attribute access.  Importing it
+# here puts it in every process that builds a world, so forked sweep
+# and shard workers inherit it instead of each importing it again.
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 class RngRegistry:
@@ -19,9 +22,9 @@ class RngRegistry:
 
     def __init__(self, root_seed: int = 0) -> None:
         self.root_seed = int(root_seed)
-        self._streams: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[str, Generator] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> Generator:
         """Return the generator for ``name``, creating it on first use.
 
         The child seed is derived by hashing (root_seed, name), so the
@@ -32,8 +35,8 @@ class RngRegistry:
                 f"{self.root_seed}:{name}".encode("utf-8")
             ).digest()
             child = int.from_bytes(digest[:8], "little")
-            self._streams[name] = np.random.default_rng(
-                np.random.SeedSequence([self.root_seed, child])
+            self._streams[name] = default_rng(
+                SeedSequence([self.root_seed, child])
             )
         return self._streams[name]
 

@@ -169,6 +169,40 @@ class TestKillAndResume:
         b = json.dumps(resumed.deterministic_dict(), sort_keys=True)
         assert a == b
 
+    def test_resume_from_torn_manifest_replays_again(self, tmp_path):
+        """A crash mid-append leaves an unterminated fragment.  The
+        resumed run's appends must not merge with it, so the manifest
+        still replays after the resume has written to it."""
+        run_dir = tmp_path / "runs"
+        sup = supervised_sweep(
+            killhelper.jobs(3),
+            run_dir=run_dir,
+            run_id="torn",
+            policy=FAST,
+        )
+        manifest = RunManifest(run_dir / "torn" / "manifest.jsonl")
+        lines = manifest.path.read_text().splitlines()
+        kept = [
+            ln
+            for ln in lines
+            if not ('"index":2' in ln and '"state":"done"' in ln)
+        ]
+        manifest.path.write_text("\n".join(kept) + '\n{"digest":"ab')
+        assert manifest.replay().skipped_lines == 1
+
+        manifest.record_running(2, 1)
+        state = manifest.replay()
+        assert state.skipped_lines == 0
+        assert state.cells[2].state == "running"
+
+        resumed = resume_sweep("torn", run_dir=run_dir, policy=FAST)
+        assert resumed.complete
+        assert resumed.report.executed == 1
+        assert manifest.replay().counts()[DONE] == 3
+        a = json.dumps(sup.deterministic_dict(), sort_keys=True)
+        b = json.dumps(resumed.deterministic_dict(), sort_keys=True)
+        assert a == b
+
     def test_resume_state_counts(self, tmp_path):
         run_dir = tmp_path / "runs"
         supervised_sweep(

@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from repro.durable import canonical_digest
+from repro.durable import append_record, canonical_digest, read_records
 from repro.errors import CacheCorruption, CheckpointError
 from repro.parallel import SweepJob
 from repro.parallel.cache import ResultCache, cell_key
@@ -189,3 +189,23 @@ class TestManifest:
             except CacheCorruption:
                 continue
             assert state in (states[-1], states[-2]), label
+
+
+def test_append_after_a_torn_tail_starts_a_new_line(tmp_path):
+    """A crash mid-append leaves an unterminated fragment; the next
+    append drops it instead of merging with it, at every cut of the
+    last record."""
+    path = tmp_path / "log.jsonl"
+    append_record(path, "log/1", {"n": 0})
+    whole = path.read_bytes()
+    append_record(path, "log/1", {"n": 1, "note": "résex"})
+    torn = path.read_bytes()[len(whole):]
+    for cut in range(len(torn)):
+        path.write_bytes(whole + torn[:cut])
+        append_record(path, "log/1", {"n": 2})
+        assert read_records(path, "log/1", CacheCorruption) == (
+            [{"n": 0}, {"n": 2}], 0
+        ), f"cut at {cut}"
+    path.write_bytes(b'{"digest":"ab')
+    append_record(path, "log/1", {"n": 3})
+    assert read_records(path, "log/1", CacheCorruption) == ([{"n": 3}], 0)

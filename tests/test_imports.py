@@ -1,8 +1,13 @@
-"""Import-order independence: every subpackage imports standalone.
+"""Import-order independence and the cold-start fence.
 
 Circular imports only bite when a subpackage is imported *first*; the
 test suite normally imports things in a fixed order, so each candidate
 is probed in a fresh interpreter.
+
+The cold-start fence keeps start-up lean, with no timing assertion:
+the package runs with scipy's import blocked, no subpackage pulls
+scipy in, and ``repro.experiments`` loads only the modules a caller
+names.
 """
 
 import subprocess
@@ -24,15 +29,59 @@ SUBPACKAGES = [
     "repro.workloads",
     "repro.experiments",
     "repro.analysis",
+    "repro.telemetry",
+    "repro.parallel",
+    "repro.supervise",
+    "repro.service",
     "repro.cli",
 ]
 
 
+def _run(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return proc.stdout
+
+
 @pytest.mark.parametrize("modname", SUBPACKAGES)
 def test_subpackage_imports_first(modname):
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {modname}"],
-        capture_output=True,
-        text=True,
+    _run(f"import {modname}")
+
+
+def test_runs_with_scipy_blocked():
+    out = _run(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import repro.cli, repro.service, repro.experiments.cluster\n"
+        "from repro.experiments import run_scenario\n"
+        "from repro.finance import PricingRequest, process_request\n"
+        "result = run_scenario('perfbench', sim_s=0.01)\n"
+        "print(result.sim_time_ns)\n"
+        "req = PricingRequest(1, 125, 100.0, 100.0, 0.02, 0.3, 0.5)\n"
+        "print(process_request(req, np.random.default_rng(0))[0].mean_call)\n"
     )
-    assert proc.returncode == 0, f"{modname}: {proc.stderr[-500:]}"
+    sim_time_ns, mean_call = out.split()
+    assert int(sim_time_ns) > 0
+    assert float(mean_call) > 0
+
+
+def test_no_subpackage_imports_scipy():
+    out = _run(
+        "".join(f"import {name}\n" for name in SUBPACKAGES)
+        + "import sys\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert out.strip() == "[]"
+
+
+def test_experiments_loads_only_what_is_named():
+    out = _run(
+        "import sys\n"
+        "from repro.experiments import build_scenario\n"
+        "print([m for m in ('repro.experiments.figures', 'repro.parallel.engine')"
+        " if m in sys.modules])\n"
+    )
+    assert out.strip() == "[]"
