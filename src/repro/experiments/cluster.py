@@ -872,10 +872,6 @@ class ClusterSetup:
         ]
 
     @property
-    def rack_heads(self) -> List[Node]:
-        return [rack[0] for rack in self.nodes]
-
-    @property
     def controllers(self) -> List[ResExController]:
         return [ctl for _r, ctl in self.world.controllers]
 

@@ -159,17 +159,6 @@ class FaultCampaign:
         """End of the last fault window (0 for an empty campaign)."""
         return max((f.end_ns for f in self.faults), default=0)
 
-    def shifted(self, offset_ns: int) -> "FaultCampaign":
-        """The same campaign with every start delayed by ``offset_ns``."""
-        return FaultCampaign.scripted(
-            [
-                Fault(f.kind, f.target, f.start_ns + offset_ns,
-                      f.duration_ns, f.severity)
-                for f in self.faults
-            ],
-            name=self.name,
-        )
-
 
 @dataclass(frozen=True)
 class RenewalSpec:

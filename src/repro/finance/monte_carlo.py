@@ -16,9 +16,6 @@ class MCResult:
     price: float
     stderr: float
 
-    def confidence_interval(self, z: float = 1.96):
-        return (self.price - z * self.stderr, self.price + z * self.stderr)
-
 
 def gbm_terminal(
     S: float,

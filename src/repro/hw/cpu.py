@@ -2,8 +2,6 @@
 
 A PCPU is a passive description (identity + frequency); time-sharing
 behaviour lives in the credit scheduler (:mod:`repro.xen.credit`).
-Frequency matters because ResEx charges CPU Resos per *percent of an
-interval*, and converts percents to cycle counts for reporting.
 """
 
 from __future__ import annotations
@@ -34,20 +32,6 @@ class PCPU:
             raise ConfigError(f"cpu_id must be >= 0, got {self.cpu_id}")
         if self.freq_hz <= 0:
             raise ConfigError(f"freq_hz must be > 0, got {self.freq_hz}")
-
-    def cycles_to_ns(self, cycles: float) -> int:
-        """Convert a cycle count to integer nanoseconds (rounded up)."""
-        if cycles < 0:
-            raise ConfigError(f"negative cycle count: {cycles}")
-        t = cycles * 1e9 / self.freq_hz
-        it = int(t)
-        return it + 1 if t > it else it
-
-    def ns_to_cycles(self, t_ns: int) -> float:
-        """Convert nanoseconds of busy time to a cycle count."""
-        if t_ns < 0:
-            raise ConfigError(f"negative duration: {t_ns}")
-        return t_ns * self.freq_hz / 1e9
 
     def __repr__(self) -> str:
         return f"<PCPU {self.cpu_id} @ {self.freq_hz / 1e9:.2f}GHz>"

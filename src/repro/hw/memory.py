@@ -52,10 +52,6 @@ class MachineMemory:
         self._frames: Dict[int, PageFrame] = {}
 
     @property
-    def allocated_frames(self) -> int:
-        return len(self._frames)
-
-    @property
     def free_frames(self) -> int:
         return self.total_frames - len(self._frames)
 
@@ -98,10 +94,6 @@ class AddressSpace:
         self.memory = memory
         self._p2m: Dict[int, PageFrame] = {}
         self._next_gpfn = 0
-
-    @property
-    def nr_pages(self) -> int:
-        return len(self._p2m)
 
     def extend(self, nframes: int) -> range:
         """Allocate frames and map them at the next free gpfn range."""

@@ -147,11 +147,6 @@ class HCA:
             )
         self._domain_limit_active[domid] = True
 
-    def domain_rate_limit(self, domid: int) -> Optional[float]:
-        if not self._domain_limit_active.get(domid, False):
-            return None
-        return self._domain_limiters[domid].capacity_bps
-
     def set_qp_priority(self, qp: QueuePair, weight: float) -> None:
         """Arbitration priority: link shares scale with this weight."""
         if weight <= 0:

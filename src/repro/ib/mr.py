@@ -21,10 +21,6 @@ class Access(enum.Flag):
     REMOTE_WRITE = enum.auto()
 
     @classmethod
-    def local_only(cls) -> "Access":
-        return cls.LOCAL_READ | cls.LOCAL_WRITE
-
-    @classmethod
     def full(cls) -> "Access":
         return (
             cls.LOCAL_READ | cls.LOCAL_WRITE | cls.REMOTE_READ | cls.REMOTE_WRITE

@@ -120,12 +120,6 @@ class IBContext:
         srq.post_recv(wr)
         return wr.wr_id
 
-    def poll_cq(self, cq: CompletionQueue, max_entries: int = 16):
-        """One non-blocking poll: costs one check, returns (possibly
-        empty) list of CQEs."""
-        yield self.domain.vcpu.compute(self.params.poll_check_cpu_ns)
-        return cq.poll(max_entries)
-
     def poll_cq_blocking(
         self, cq: CompletionQueue, max_entries: int = 16
     ):

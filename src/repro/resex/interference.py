@@ -63,10 +63,6 @@ class InterferenceDetector:
     def add_samples(self, latencies_us: Sequence[float]) -> None:
         self._samples.extend(float(v) for v in latencies_us)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self._samples)
-
     def interference_pct(self) -> float:
         """Percent latency degradation beyond the SLA, or 0.0.
 

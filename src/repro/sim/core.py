@@ -119,107 +119,57 @@ class Environment:
             return INFINITY
         return self._queue[0][0]
 
-    def step(self) -> None:
-        """Process the next event; raises SimulationError if none is left.
+    def run_window(self, limit: int) -> int:
+        """Process every event with timestamp *strictly below* ``limit``.
 
-        Single-step API for tests and debuggers.  :meth:`run` does not
-        call this — it drives an inlined copy of the same dispatch so
-        the per-event cost stays minimal — but both bodies must stay
-        semantically identical.
+        The kernel's one dispatch loop.  :meth:`run` drives it with no
+        bound; the shard kernel (:mod:`repro.sim.shard`) advances each
+        shard's heap in half-open windows ``[B_k, B_k+1)`` so that an
+        event at exactly the next barrier time is never pulled into the
+        current window — cross-shard messages delivered *at* a barrier
+        must still order before it.  Events at ``limit`` (and the clock
+        advance to ``limit``) belong to the caller's next window.
+
+        Returns the number of events processed.
         """
-        try:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise SimulationError("no scheduled events left") from None
-
-        if when < self._now:  # pragma: no cover - heap invariant guard
-            inv = self.invariants
-            if inv.enabled:
+        queue = self._queue
+        heappop = heapq.heappop
+        inv = self.invariants
+        base = self._events_processed
+        while queue and queue[0][0] < limit:
+            when, _prio, _seq, event = heappop(queue)
+            # Event-time monotonicity guard: one int compare on the
+            # healthy path; the monitor is consulted only on an actual
+            # regression, and only when a guard mode is on.
+            if when < self._now and inv.enabled:
                 inv.violation(
                     GUARD_EVENT_TIME,
                     when,
                     f"event at t={when} dispatched after now={self._now}",
                     now=self._now,
                 )
-            else:
-                raise SimulationError("event scheduled in the past")
-        self._now = when
+            self._now = when
 
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        if callbacks:
-            for callback in callbacks:
-                if callback is not None:  # skip tombstoned waiters
-                    callback(event)
-        self._events_processed += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.kernel_tick(
-                self._now, self._events_processed, len(self._queue), event
-            )
+            callbacks = event.callbacks
+            event.callbacks = None  # mark processed
+            if callbacks:
+                for callback in callbacks:
+                    if callback is not None:  # skip tombstoned waiters
+                        callback(event)
+            self._events_processed += 1
+            # Re-read per event: a bus may be installed on the
+            # environment at any point before its first event fires.
+            # The disabled bus costs only this load and branch.
+            tel = self.telemetry
+            if tel.enabled:
+                tel.kernel_tick(when, self._events_processed, len(queue), event)
 
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(repr(exc))  # pragma: no cover - defensive
-
-    def run_window(self, limit: int) -> int:
-        """Process every event with timestamp *strictly below* ``limit``.
-
-        The shard kernel's window primitive (:mod:`repro.sim.shard`):
-        a partitioned run advances each shard's heap in half-open
-        windows ``[B_k, B_k+1)`` so that an event at exactly the next
-        barrier time is never pulled into the current window — cross-
-        shard messages delivered *at* a barrier must still order before
-        it.  Events at ``limit`` (and the clock advance to ``limit``)
-        belong to the caller's next window.
-
-        Returns the number of events processed.  The dispatch body is
-        the same inlined loop as :meth:`run` with the window bound
-        added; both must stay semantically identical.
-        """
-        queue = self._queue
-        heappop = heapq.heappop
-        inv = self.invariants
-        tel = self.telemetry
-        base = self._events_processed
-        processed = 0
-        try:
-            while queue and queue[0][0] < limit:
-                when, _prio, _seq, event = heappop(queue)
-                if when < self._now and inv.enabled:
-                    inv.violation(
-                        GUARD_EVENT_TIME,
-                        when,
-                        f"event at t={when} dispatched after now={self._now}",
-                        now=self._now,
-                    )
-                self._now = when
-
-                callbacks = event.callbacks
-                event.callbacks = None  # mark processed
-                if callbacks:
-                    for callback in callbacks:
-                        if callback is not None:  # skip tombstoned waiters
-                            callback(event)
-                processed += 1
-                if tel.enabled:
-                    tel.kernel_tick(
-                        when, base + processed, len(queue), event
-                    )
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
-        finally:
-            # The counter rides a local inside the loop (one attribute
-            # write per window instead of one per event); the writeback
-            # must survive a raising callback or the tally drifts.
-            self._events_processed = base + processed
-        return processed
+            if not event._ok and not event._defused:
+                exc = event._value
+                if isinstance(exc, BaseException):
+                    raise exc
+                raise SimulationError(repr(exc))  # pragma: no cover
+        return self._events_processed - base
 
     def run(self, until: "int | Event | None" = None) -> Any:
         """Run the simulation.
@@ -231,16 +181,13 @@ class Environment:
             ``int``   -> run until simulation time reaches that value (ns).
             ``Event`` -> run until the event triggers; returns its value.
         """
-        stop_event: Optional[Event] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:
+        entry: Optional[Tuple[int, int, int, Event]] = None
+        if isinstance(until, Event):
+            if until.callbacks is None:
                 # Already processed: nothing to run.
-                return stop_event._value
-            stop_event.callbacks.append(_stop_callback)
-        else:
+                return until._value
+            until.callbacks.append(_stop_callback)
+        elif until is not None:
             at = int(until)
             if at < self._now:
                 raise SimulationError(
@@ -249,64 +196,32 @@ class Environment:
             stop_event = Event(self)
             stop_event._ok = True
             stop_event._value = None
+            stop_event.callbacks = [_stop_callback]  # type: ignore[list-item]
             # Schedule directly at absolute time with lowest priority so
             # all events at `at` with normal priority run first.
             self._seq += 1
-            heapq.heappush(self._queue, (at, NORMAL + 1, self._seq, stop_event))
-            stop_event.callbacks = [_stop_callback]  # type: ignore[list-item]
+            entry = (at, NORMAL + 1, self._seq, stop_event)
+            heapq.heappush(self._queue, entry)
 
-        # The dispatch loop below is :meth:`step` inlined with local
-        # bindings — the kernel's hottest lines.  Telemetry is re-read
-        # per iteration (a bus may be installed on the environment at
-        # any point before its first event fires), but the disabled-bus
-        # path costs only the attribute load and branch, which is the
-        # "null bus is free" contract the telemetry layer promises.
-        queue = self._queue
-        heappop = heapq.heappop
-        inv = self.invariants
         try:
-            while queue:
-                when, _prio, _seq, event = heappop(queue)
-                # Event-time monotonicity guard: the compare is one int
-                # operation on the healthy path; the monitor is only
-                # consulted on an actual regression (and only when a
-                # guard mode is active — off-mode keeps the historical
-                # silent behaviour of this loop).
-                if when < self._now and inv.enabled:
-                    inv.violation(
-                        GUARD_EVENT_TIME,
-                        when,
-                        f"event at t={when} dispatched after now={self._now}",
-                        now=self._now,
-                    )
-                self._now = when
-
-                callbacks = event.callbacks
-                event.callbacks = None  # mark processed
-                if callbacks:
-                    for callback in callbacks:
-                        if callback is not None:  # skip tombstoned waiters
-                            callback(event)
-                self._events_processed += 1
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.kernel_tick(
-                        when, self._events_processed, len(queue), event
-                    )
-
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(repr(exc))  # pragma: no cover
+            self.run_window(INFINITY)
+            if isinstance(until, Event) and until._value is PENDING:
+                raise SimulationError(
+                    "run(until=event) ended before the event triggered "
+                    "(event queue is empty)"
+                )
         except StopSimulation as stop:
             return stop.value
-
-        if isinstance(until, Event) and until._value is PENDING:
-            raise SimulationError(
-                "run(until=event) ended before the event triggered "
-                "(event queue is empty)"
-            )
+        except BaseException:
+            # A run that ends short of its stop must not leave the stop
+            # behind, or a later run would end at this run's bound.
+            if entry is not None and entry in self._queue:
+                self._queue.remove(entry)
+                heapq.heapify(self._queue)
+            elif isinstance(until, Event) and until.callbacks is not None:
+                # Tombstone rather than remove: waiters hold slot indices.
+                until.callbacks[until.callbacks.index(_stop_callback)] = None
+            raise
         return None
 
 

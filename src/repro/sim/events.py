@@ -12,7 +12,7 @@ Events move through three states:
 ``processed``-> its callbacks have run
 
 Unlike wall-clock frameworks there is no concurrency here; callbacks run
-synchronously inside ``Environment.step`` in deterministic order.
+synchronously inside ``Environment.run_window`` in deterministic order.
 
 Hot-path note: triggering an event pushes directly onto the
 environment's heap (the exact operation :meth:`Environment.schedule`

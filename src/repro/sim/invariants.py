@@ -46,7 +46,7 @@ covers an entire scenario run.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.errors import ConfigError, InvariantViolation
 

@@ -70,13 +70,6 @@ class Store:
         """Retrieve the oldest item; the event triggers with the item."""
         return StoreGet(self)
 
-    def cancel_get(self, get_event: StoreGet) -> bool:
-        """Withdraw a pending get; returns True if it was removed."""
-        if get_event in self._get_queue:
-            self._get_queue.remove(get_event)
-            return True
-        return False
-
     # -- internals ---------------------------------------------------------
     def _dispatch(self) -> None:
         progress = True

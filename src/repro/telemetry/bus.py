@@ -247,7 +247,7 @@ class TelemetryBus:
     def kernel_tick(
         self, ts_ns: int, events_processed: int, queue_depth: int, event: object
     ) -> None:
-        """Called by :meth:`Environment.step` after each dispatch."""
+        """Called by :meth:`Environment.run_window` after each dispatch."""
         if self.kernel_dispatch:
             self.instant(
                 KERNEL,

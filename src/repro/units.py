@@ -28,16 +28,6 @@ def ns_to_us(t_ns: int) -> float:
     return t_ns / US
 
 
-def ns_to_ms(t_ns: int) -> float:
-    """Convert integer nanoseconds to floating-point milliseconds."""
-    return t_ns / MS
-
-
-def ns_to_s(t_ns: int) -> float:
-    """Convert integer nanoseconds to floating-point seconds."""
-    return t_ns / SEC
-
-
 def us(value: float) -> int:
     """Microseconds -> integer nanoseconds (rounded)."""
     return round(value * US)

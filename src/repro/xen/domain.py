@@ -37,7 +37,6 @@ class Domain:
         self.name = name
         self.address_space = address_space
         self.vcpus = vcpus
-        self.alive = True
 
     @property
     def is_privileged(self) -> bool:

@@ -84,41 +84,6 @@ class Hypervisor:
         """All domains except dom0, in domid order."""
         return [d for i, d in sorted(self.domains.items()) if i != DOM0_ID]
 
-    def destroy_domain(self, domid: int) -> None:
-        """Tear a guest down: error its QPs, flush pending sends with
-        error completions, deregister (unpin) its memory regions, detach
-        its VCPUs, and fail any queued guest work with
-        :class:`HypervisorError` (delivered to waiting processes).
-        """
-        domain = self.domain(domid)
-        if domain.is_privileged:
-            raise HypervisorError("cannot destroy dom0")
-        domain.alive = False
-
-        hca = self.host.hca
-        if hca is not None:
-            from repro.ib.qp import QPState  # late import avoids a cycle
-
-            for qp in hca.qps.values():
-                if qp.domid == domid and qp.state is not QPState.ERROR:
-                    qp.to_error()
-                    hca._flush_send_queue(qp)
-            for mr in [m for m in hca.tpt if m.domid == domid]:
-                if mr.valid:
-                    hca.tpt.deregister(mr)
-
-        for vcpu in domain.vcpus:
-            scheduler = vcpu.scheduler
-            if scheduler is not None and vcpu in scheduler.vcpus:
-                scheduler.vcpus.remove(vcpu)
-            while vcpu._work:
-                item = vcpu._work.popleft()
-                if not item.done.triggered:
-                    item.done.fail(
-                        HypervisorError(f"domain {domid} destroyed")
-                    )
-        del self.domains[domid]
-
     # -- scheduling controls -------------------------------------------------
     def pause_domain(self, domid: int) -> None:
         """Freeze every VCPU of a domain (the ``xl pause`` analog).
@@ -175,12 +140,6 @@ class Hypervisor:
 
     def get_cap(self, domid: int) -> int:
         return self.domain(domid).vcpu.cap_percent
-
-    def set_weight(self, domid: int, weight: int) -> None:
-        for vcpu in self.domain(domid).vcpus:
-            if weight < 1:
-                raise HypervisorError(f"weight must be >= 1, got {weight}")
-            vcpu.weight = weight
 
     # -- introspection (xc_map_foreign_range) -----------------------------------
     def map_foreign_pages(

@@ -95,13 +95,6 @@ class TestScriptedCampaign:
         assert c.horizon_ns() == 5_250
         assert FaultCampaign.scripted([]).horizon_ns() == 0
 
-    def test_shifted(self):
-        c = FaultCampaign.scripted([Fault("k", "t", 100, 10, 0.3)])
-        s = c.shifted(1_000)
-        assert s.faults[0].start_ns == 1_100
-        assert s.faults[0].severity == 0.3
-        assert s.name == c.name
-
 
 class TestStochasticCampaign:
     SPECS = [

@@ -120,11 +120,6 @@ class TestMonteCarlo:
         )
         assert anti.stderr < plain.stderr
 
-    def test_confidence_interval(self):
-        r = mc_european(100.0, 100.0, 0.05, 0.2, 1.0, 10_000)
-        lo, hi = r.confidence_interval()
-        assert lo < r.price < hi
-
     def test_validation(self):
         with pytest.raises(FinanceError):
             mc_european(100.0, 100.0, 0.05, 0.2, 1.0, n_paths=0)

@@ -8,27 +8,11 @@ from repro.units import KiB, MiB
 
 
 class TestPCPU:
-    def test_cycle_time_roundtrip(self):
-        cpu = PCPU(0, freq_hz=2e9)
-        # 2 GHz: 1000 cycles = 500 ns
-        assert cpu.cycles_to_ns(1000) == 500
-        assert cpu.ns_to_cycles(500) == pytest.approx(1000)
-
-    def test_cycles_to_ns_rounds_up(self):
-        cpu = PCPU(0, freq_hz=3e9)
-        # 1 cycle at 3 GHz = 0.333 ns -> rounds up to 1 ns.
-        assert cpu.cycles_to_ns(1) == 1
-
-    def test_zero_cycles(self):
-        assert PCPU(0).cycles_to_ns(0) == 0
-
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
             PCPU(-1)
         with pytest.raises(ConfigError):
             PCPU(0, freq_hz=0)
-        with pytest.raises(ConfigError):
-            PCPU(0).cycles_to_ns(-5)
 
 
 class TestMachineMemory:
@@ -36,10 +20,9 @@ class TestMachineMemory:
         mem = MachineMemory(16 * PAGE_SIZE)
         frames = mem.allocate(owner_domid=1, nframes=4)
         assert len(frames) == 4
-        assert mem.allocated_frames == 4
         assert mem.free_frames == 12
         mem.free(frames)
-        assert mem.allocated_frames == 0
+        assert mem.free_frames == 16
 
     def test_unique_mfns(self):
         mem = MachineMemory(16 * PAGE_SIZE)
@@ -99,7 +82,7 @@ class TestAddressSpace:
         aspace = AddressSpace(1, mem)
         assert aspace.extend(2) == range(0, 2)
         assert aspace.extend(3) == range(2, 5)
-        assert aspace.nr_pages == 5
+        assert mem.free_frames == mem.total_frames - 5
 
 
 class TestBuffer:

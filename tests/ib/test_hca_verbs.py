@@ -224,7 +224,9 @@ class TestRDMA:
             yield from rig.setup_connected_qps()
             smr = yield from rig.reg("client", KiB)
             tmr = yield from rig.reg(
-                "server", KiB, access=Access.local_only() | Access.REMOTE_READ
+                "server",
+                KiB,
+                access=Access.LOCAL_READ | Access.LOCAL_WRITE | Access.REMOTE_READ,
             )
             yield from rig.client_ctx.post_send(
                 rig.client_qp,

@@ -55,7 +55,7 @@ class TestRegistration:
 
 class TestLookups:
     def test_lookup_local(self, tpt, aspace):
-        mr = tpt.register(Buffer(aspace, KiB), Access.local_only(), 1)
+        mr = tpt.register(Buffer(aspace, KiB), Access.LOCAL_READ | Access.LOCAL_WRITE, 1)
         assert tpt.lookup_local(mr.lkey) is mr
 
     def test_lkey_rkey_not_interchangeable(self, tpt, aspace):
@@ -70,14 +70,14 @@ class TestLookups:
             tpt.lookup_local(0xDEAD)
 
     def test_remote_permission_enforced(self, tpt, aspace):
-        mr = tpt.register(Buffer(aspace, KiB), Access.local_only(), 1)
+        mr = tpt.register(Buffer(aspace, KiB), Access.LOCAL_READ | Access.LOCAL_WRITE, 1)
         with pytest.raises(ProtectionFault, match="lacks"):
             tpt.lookup_remote(mr.rkey, Access.REMOTE_WRITE)
 
     def test_remote_read_vs_write_permissions(self, tpt, aspace):
         ro = tpt.register(
             Buffer(aspace, KiB),
-            Access.local_only() | Access.REMOTE_READ,
+            Access.LOCAL_READ | Access.LOCAL_WRITE | Access.REMOTE_READ,
             1,
         )
         assert tpt.lookup_remote(ro.rkey, Access.REMOTE_READ) is ro

@@ -69,29 +69,6 @@ class TestUAR:
         assert state["uar"].doorbell_counts[state["qpn"]] == 3
 
 
-class TestNonBlockingPoll:
-    def test_poll_cq_empty_returns_nothing(self):
-        bed = Testbed.paper_testbed(seed=2)
-        s = bed.node("server-host")
-        dom = s.create_guest("vm")
-        result = {}
-
-        def scenario(env):
-            fe = s.frontend(dom)
-            ctx = yield from fe.open_context()
-            cq = yield from fe.create_cq(ctx)
-            t0 = env.now
-            cqes = yield from ctx.poll_cq(cq)
-            result["cqes"] = cqes
-            result["cost"] = env.now - t0
-
-        proc = bed.env.process(scenario(bed.env))
-        bed.env.run(until=proc)
-        assert result["cqes"] == []
-        # One poll check of CPU was charged.
-        assert result["cost"] == s.hca.params.poll_check_cpu_ns
-
-
 class TestHostPaths:
     def test_unattached_host_path_rejected(self):
         env = Environment()

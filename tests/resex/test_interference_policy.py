@@ -73,8 +73,9 @@ class TestInterferenceDetector:
         det.add_samples([300.0] * 10)
         det.interference_pct()
         det.reset()
-        assert det.n_samples == 0
         assert det.last_pct == 0.0
+        det.add_samples([300.0])  # one sample: the old window is gone
+        assert det.interference_pct() == 0.0
 
     def test_window_validation(self):
         with pytest.raises(PricingError):

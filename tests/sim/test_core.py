@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import INFINITY, Environment, Event, Interrupt
+from repro.sim import INFINITY, Environment, Interrupt
 from repro.units import MS, US
 
 
@@ -36,10 +36,6 @@ class TestEnvironmentBasics:
 
     def test_run_empty_queue_returns_none(self, env):
         assert env.run() is None
-
-    def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
     def test_run_until_past_raises(self):
         env = Environment(initial_time=100)
@@ -158,6 +154,69 @@ class TestRunUntil:
         p = env.process(proc(env))
         env.run()
         assert env.run(until=p) == 99
+
+
+class TestRunAfterRaise:
+    """A run that raised must not leave its stop behind for the next."""
+
+    @staticmethod
+    def _program(env):
+        ticks = []
+
+        def ticker(env):
+            while True:
+                yield env.timeout(25)
+                ticks.append(env.now)
+
+        def failing(env):
+            yield env.timeout(60)
+            raise RuntimeError("boom")
+
+        env.process(ticker(env))
+        env.process(failing(env))
+        return ticks
+
+    def test_run_until_time_after_a_raise_runs_to_the_new_time(self, env):
+        ticks = self._program(env)
+        with pytest.raises(RuntimeError):
+            env.run(until=100)
+        assert env.now == 60
+        env.run(until=200)
+        assert env.now == 200
+        assert ticks == [25, 50, 75, 100, 125, 150, 175, 200]
+        # 2 process starts, 8 ticks, the failing process's timeout and
+        # its failure; the stop events are never counted.
+        assert env.events_processed == 12
+        assert env.peek() == 225
+
+    def test_run_until_event_after_a_raise_does_not_stop_on_it(self, env):
+        ticks = self._program(env)
+        done = env.event()
+
+        def finisher(env):
+            yield env.timeout(150)
+            done.succeed("late")
+
+        env.process(finisher(env))
+        with pytest.raises(RuntimeError):
+            env.run(until=done)
+        assert env.now == 60
+        env.run(until=200)
+        assert env.now == 200
+        assert ticks == [25, 50, 75, 100, 125, 150, 175, 200]
+        # ... plus the finisher's start, its timeout, ``done`` and its
+        # exit.
+        assert env.events_processed == 16
+        assert done.processed and done.value == "late"
+
+    def test_run_after_an_until_event_that_never_fired(self, env):
+        done = env.event()
+        with pytest.raises(SimulationError):
+            env.run(until=done)
+        done.succeed()
+        env.timeout(10)
+        env.run()
+        assert (env.now, env.events_processed) == (10, 2)
 
 
 class TestEventSemantics:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigError, InvariantViolation
 from repro.sim import invariants
 from repro.sim.core import Environment
@@ -17,8 +18,6 @@ from repro.sim.invariants import (
     InvariantMonitor,
     check_fabric_rates,
 )
-from repro.telemetry import TelemetryBus
-from repro import telemetry
 
 
 class TestRegistry:

@@ -245,22 +245,6 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
 
-    def test_cancel_get(self, env):
-        store = Store(env)
-
-        def consumer(env):
-            g = store.get()
-            result = yield env.any_of([g, env.timeout(5)])
-            if g not in result:
-                assert store.cancel_get(g)
-
-        env.process(consumer(env))
-        env.run()
-        # The queued get was withdrawn; a later put should simply buffer.
-        store.put("late")
-        env.run()
-        assert list(store.items) == ["late"]
-
     def test_len(self, env):
         store = Store(env)
         store.put(1)

@@ -134,12 +134,13 @@ class TestRun:
 
     def test_rack_head_wiring(self):
         setup = build_cluster(TINY, seed=3)
-        assert len(setup.rack_heads) == 2
+        rack_heads = [rack[0] for rack in setup.nodes]
+        assert len(rack_heads) == 2
         assert len(setup.controllers) == 2
         assert setup.world.coordinator is not None
         assert list(setup.world.agents) == [1]
         # Rack heads host the controllers, in rack order.
-        for head, ctl in zip(setup.rack_heads, setup.controllers):
+        for head, ctl in zip(rack_heads, setup.controllers):
             assert ctl.node is head
 
 

@@ -67,13 +67,6 @@ class TestCapControls:
         with pytest.raises(SchedulerError):
             hv.set_cap(d.domid, 0)
 
-    def test_set_weight(self, hv):
-        d = hv.create_domain("vm1", pcpus=[1])
-        hv.set_weight(d.domid, 512)
-        assert d.vcpu.weight == 512
-        with pytest.raises(HypervisorError):
-            hv.set_weight(d.domid, 0)
-
 
 class TestXenStat:
     def test_cpu_time_counter(self, env, hv):
