@@ -8,7 +8,7 @@ per interval; the VM pays ~10 us of CPU per report (paper §VII-B).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class LatencyAgent:
         out = np.asarray(self._buffer, dtype=np.float64)
         self._buffer = []
         return out
-
-    def peek_stats(self) -> Tuple[int, float]:
-        """(pending count, pending mean) without draining."""
-        if not self._buffer:
-            return 0, float("nan")
-        arr = np.asarray(self._buffer)
-        return len(self._buffer), float(arr.mean())
 
     def __repr__(self) -> str:
         return (

@@ -25,9 +25,7 @@ _EXPORTS = {
     "build_cluster": "repro.experiments.cluster",
     "cluster_spec": "repro.experiments.cluster",
     "run_cluster": "repro.experiments.cluster",
-    "run_cluster_set": "repro.experiments.suite",
     "run_registry_set": "repro.experiments.suite",
-    "run_service_set": "repro.experiments.suite",
     "resume_sweep": "repro.supervise",
     "supervised_sweep": "repro.supervise",
     "Node": "repro.experiments.platform",

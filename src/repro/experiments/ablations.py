@@ -20,7 +20,7 @@ from repro.experiments.platform import Testbed
 from repro.experiments.scenarios import REPORTING_SLA, run_scenario
 from repro.ibmon import IBMon
 from repro.resex import FreeMarket, IOShares
-from repro.units import SEC
+from repro.units import MS, SEC, US
 
 
 def ablation_depletion_modes(seed: int = 7) -> FigureResult:
@@ -352,10 +352,11 @@ def ablation_federation(seed: int = 7) -> FigureResult:
     federated deployment prices the interferer's client VM too.
     """
     from repro.resex import (
-        Follower,
         IOShares,
+        PriceAgent,
+        PriceCoordinator,
+        RackFollower,
         ResExController,
-        ResExFederation,
     )
     from repro.experiments.scenarios import REPORTING_SLA as SLA
 
@@ -375,15 +376,20 @@ def ablation_federation(seed: int = 7) -> FigureResult:
         ctl.monitor(intf.server_dom)
         ctl.start()
         if federated:
-            fctl = ResExController(c, Follower())
+            # The client host manages only the interferer's client VM;
+            # the server host's price reaches it one cast (50 us) after
+            # each 1 ms sync tick.
+            fctl = ResExController(c, RackFollower())
             fctl.monitor(intf.client_dom)
-            fctl.monitor(rep.client_dom)
             fctl.start()
-            fed = ResExFederation(bed.env)
-            fed.link(
-                (ctl, intf.server_dom.domid), (fctl, intf.client_dom.domid)
-            )
-            fed.start()
+            agent = PriceAgent(1, fctl)
+
+            def send(_dst, round_no, price):
+                bed.env.timeout(50 * US).callbacks.append(
+                    lambda _ev: agent.on_cast(round_no, price)
+                )
+
+            PriceCoordinator(bed.env, ctl, 2, MS, send).start()
         run_pairs(bed, [rep, intf], until_ns=int(sim_s * SEC))
         lat = rep.server.latencies_us()
         rows.append([label, float(lat.mean()), float(lat.std())])

@@ -30,11 +30,11 @@ leaf-spine, pods for fat-tree — see
 * **Per-rack ResEx controllers** — rack 0 runs the detecting
   :class:`~repro.resex.IOShares` policy; every other rack runs
   :class:`~repro.resex.RackFollower`.  Prices federate by *message
-  passing*: per-rack :class:`~repro.resex.PriceAgent` endpoints gossip
-  with the rack-0 :class:`~repro.resex.PriceCoordinator`, each control
-  message paying a real egress transfer on its rack's fabric plus the
-  inter-domain propagation latency (gossip rides the same channel the
-  flows relay over).
+  passing*: every sync tick the rack-0 :class:`~repro.resex.
+  PriceCoordinator` casts rack 0's price to each rack's
+  :class:`~repro.resex.PriceAgent`, every cast paying a real egress
+  transfer on rack 0's fabric plus the inter-domain propagation
+  latency (casts ride the same channel the flows relay over).
 * **Background flows** — a seeded population of VM-to-VM transfers,
   drawn from per-rack RNG streams (``cluster/flows/rack<R>``) so each
   rack's schedule is a pure function of (seed, spec, rack) — never of
@@ -116,7 +116,7 @@ class ClusterSpec:
     flow_bytes_max: int = 2 * MiB
     #: Simulated duration.
     sim_s: float = 0.1
-    #: Price-gossip cadence of the cluster federation.
+    #: Price-cast cadence of the cluster federation.
     sync_interval_ns: int = 2 * MS
     #: Deploy the monitored BenchEx pairs + ResEx controllers.
     with_resex: bool = True
@@ -127,7 +127,7 @@ class ClusterSpec:
     #: Forwarding cycle of the inter-domain backplane.  Relays handed
     #: to the spine/core stage depart in batches at multiples of this
     #: epoch (store-and-forward switches forward in scheduled cycles,
-    #: aligned here with the federation's own 2 ms gossip cadence)
+    #: aligned here with the federation's own 2 ms cast cadence)
     #: rather than at arbitrary transfer-completion instants.  Besides
     #: being the batching a scheduled backplane actually does, it makes
     #: the egress schedule *predictable*: between epochs a domain can
@@ -461,18 +461,14 @@ class ClusterWorld:
             ctl.start()
             self.controllers.append((r, ctl))
 
-        n_racks = spec.n_racks
         for r, ctl in self.controllers:
             if r == 0:
                 self.coordinator = PriceCoordinator(
-                    self.env, ctl, n_racks, spec.sync_interval_ns,
+                    self.env, ctl, spec.n_racks, spec.sync_interval_ns,
                     send=self._fed_send,
                 )
             else:
-                self.agents[r] = PriceAgent(
-                    self.env, r, ctl, spec.sync_interval_ns,
-                    send=self._fed_send,
-                )
+                self.agents[r] = PriceAgent(r, ctl)
 
     # -- index helpers ------------------------------------------------------
     def _head_index(self, rack: int) -> int:
@@ -580,8 +576,6 @@ class ClusterWorld:
             self.env.process(deploy_all(self.env), name="cluster-deploy")
         if self.coordinator is not None:
             self.coordinator.start()
-        for agent in self.agents.values():
-            agent.start()
 
         self._launch_flows(until_ns)
         if spec.chaos_flaps > 0:
@@ -701,25 +695,22 @@ class ClusterWorld:
         )
 
     # -- federation transport ----------------------------------------------
-    def _fed_send(
-        self, src_rack: int, dst_rack: int, kind: str, round_no: int,
-        price: float,
-    ) -> None:
-        """One price-gossip control message from ``src_rack``.
+    def _fed_send(self, dst_rack: int, round_no: int, price: float) -> None:
+        """One price cast from rack 0 to ``dst_rack``.
 
-        The message pays a real egress transfer on the source rack's
-        fabric (head port + source-side switch hops) and then rides the
+        The message pays a real egress transfer on rack 0's fabric
+        (head port + source-side switch hops) and then rides the
         cross-domain channel — contending with the very traffic its
         price governs.
         """
         plan = self.plan
-        si = self._head_index(src_rack)
+        si = self._head_index(0)
         di = self._head_index(dst_rack)
         d1, d2 = plan.domain_of(si), plan.domain_of(di)
         st = self._domains[d1]
         head = self._host_nodes[si].host
-        label = f"fed.{kind}.r{src_rack}->r{dst_rack}.{round_no}"
-        payload = (kind, dst_rack, round_no, src_rack, price)
+        label = f"fed.cast.r0->r{dst_rack}.{round_no}"
+        payload = (dst_rack, round_no, price)
         if d1 == d2:
             # Same pod: the full intra-domain route, then the relay
             # latency on a timer (one environment in every mode).
@@ -739,24 +730,11 @@ class ClusterWorld:
             lambda _ev: self._relay(d1, d2, "fed", payload)
         )
 
-    def _fed_deliver(
-        self, kind: str, dst_rack: int, round_no: int, src_rack: int,
-        price: float,
-    ) -> None:
-        if kind == "gather":
-            if self.coordinator is None:  # pragma: no cover - defensive
-                raise ConfigError("gather message reached a world with no "
-                                  "coordinator")
-            self.coordinator.on_gather(round_no, src_rack, price)
-        elif kind == "cast":
-            agent = self.agents.get(dst_rack)
-            if agent is None:  # pragma: no cover - defensive
-                raise ConfigError(
-                    f"cast for rack {dst_rack} reached the wrong world"
-                )
-            agent.on_cast(round_no, price)
-        else:  # pragma: no cover - defensive
-            raise ConfigError(f"unknown federation verb {kind!r}")
+    def _fed_deliver(self, dst_rack: int, round_no: int, price: float) -> None:
+        agent = self.agents.get(dst_rack)
+        if agent is None:  # pragma: no cover - defensive
+            raise ConfigError(f"cast for rack {dst_rack} reached the wrong world")
+        agent.on_cast(round_no, price)
 
     # -- chaos ----------------------------------------------------------------
     def _launch_chaos(self, until_ns: int) -> None:
@@ -928,10 +906,10 @@ def cluster_world_key(spec: ClusterSpec, seed: int, until_ns: int) -> str:
 #: one domain per shard for 0.02, 0.05 and 0.1 simulated seconds under
 #: seeds 7 and 101 (the counts are deterministic): every background
 #: flow costs its origin rack about 8 events; with ResEx on, every rack
-#: pays its controller and price agent at a steady rate, and the rack
-#: hosting the monitored stack pays for the BenchEx pairs and the
-#: IOShares controller once the pairs are deployed, plus the price
-#: coordinator's per-rack gossip.
+#: pays its controller at a steady rate, and the rack hosting the
+#: monitored stack pays for the BenchEx pairs and the IOShares
+#: controller once the pairs are deployed, plus one price cast per
+#: follower rack every sync tick.
 _FLOW_EVENTS = 8.0
 _RACK_EVENTS_PER_S = 31_000.0
 _STACK_EVENTS_PER_S = 320_000.0

@@ -73,75 +73,3 @@ def run_registry_set(
         {name: cell.payload for name, cell in zip(names, result.cells)},
         result.report,
     )
-
-
-def run_cluster_set(
-    names: Optional[Sequence[str]] = None,
-    *,
-    seed: int = 7,
-    jobs: int = 1,
-    sim_s: Optional[float] = None,
-    telemetry=None,
-) -> Tuple[Dict[str, Dict[str, float]], SweepReport]:
-    """Run cluster-scale presets as ``cluster`` cells.
-
-    ``names=None`` runs every :data:`~repro.experiments.cluster.
-    CLUSTER_SPECS` preset.  Cluster cells return float metric dicts,
-    so — unlike registry cells — they are content-addressed cacheable.
-    """
-    from repro.experiments.cluster import CLUSTER_SPECS
-
-    if names is None:
-        names = list(CLUSTER_SPECS)
-    unknown = [n for n in names if n not in CLUSTER_SPECS]
-    if unknown:
-        raise ConfigError(
-            f"unknown cluster presets {unknown} (have {sorted(CLUSTER_SPECS)})"
-        )
-    spec: Dict[str, object] = {}
-    if sim_s is not None:
-        spec["sim_s"] = float(sim_s)
-    cells = [SweepJob("cluster", name, int(seed), dict(spec)) for name in names]
-    result = run_sweep(cells, workers=jobs, telemetry=telemetry)
-    _check_complete(result, "cluster")
-    return (
-        {name: cell.metrics for name, cell in zip(names, result.cells)},
-        result.report,
-    )
-
-
-def run_service_set(
-    names: Optional[Sequence[str]] = None,
-    *,
-    seed: int = 7,
-    jobs: int = 1,
-    requests: Optional[int] = None,
-    telemetry=None,
-) -> Tuple[Dict[str, Dict[str, float]], SweepReport]:
-    """Run service-replay presets as ``service`` cells.
-
-    ``names=None`` runs every :data:`~repro.service.replay.
-    SERVICE_SPECS` preset (the ``service_replay`` scenario family).
-    Service cells are deterministic in-process replays of the ResEx
-    gateway's sim backend, return float metric dicts — including the
-    response-log ``digest48`` — and are content-addressed cacheable.
-    """
-    from repro.service.replay import SERVICE_SPECS
-
-    if names is None:
-        names = list(SERVICE_SPECS)
-    unknown = [n for n in names if n not in SERVICE_SPECS]
-    if unknown:
-        raise ConfigError(
-            f"unknown service presets {unknown} (have {sorted(SERVICE_SPECS)})"
-        )
-    spec: Dict[str, object] = {}
-    if requests is not None:
-        spec["requests"] = int(requests)
-    cells = [SweepJob("service", name, int(seed), dict(spec)) for name in names]
-    result = run_sweep(cells, workers=jobs, telemetry=telemetry)
-    _check_complete(result, "service")
-    return (
-        {name: cell.metrics for name, cell in zip(names, result.cells)},
-        result.report,
-    )

@@ -21,7 +21,7 @@ kind                   target
 ``ibmon-stale``        informational (drains return stale estimates)
 ``controller-outage``  informational (management loop paused)
 ``vcpu-freeze``        domain *name* on the injector's hypervisor
-``federation-outage``  informational (relay messages lost)
+``federation-outage``  informational (price casts lost)
 =====================  ============================================
 """
 
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ib.hca import HCA
     from repro.ibmon import IBMon
     from repro.resex.controller import ResExController
-    from repro.resex.federation import ResExFederation
+    from repro.resex.federation import PriceCoordinator
     from repro.xen.hypervisor import Hypervisor
 
 
@@ -156,11 +156,11 @@ class VCPUFreeze(Injector):
 
 
 class FederationOutage(Injector):
-    """Drop the cross-host federation relay's control messages."""
+    """Pause a price federation's coordinator: its rounds are lost."""
 
     kind = "federation-outage"
 
-    def __init__(self, federation: "ResExFederation") -> None:
+    def __init__(self, federation: "PriceCoordinator") -> None:
         self.federation = federation
 
     def inject(self, fault: Fault) -> None:

@@ -1,13 +1,7 @@
 """ResEx: congestion-pricing resource management (the paper's core)."""
 
 from repro.resex.controller import MonitoredVM, ResExController
-from repro.resex.federation import (
-    Follower,
-    PriceAgent,
-    PriceCoordinator,
-    RackFollower,
-    ResExFederation,
-)
+from repro.resex.federation import PriceAgent, PriceCoordinator, RackFollower
 from repro.resex.freemarket import FreeMarket
 from repro.resex.hwshares import HwShares
 from repro.resex.interference import InterferenceDetector, LatencySLA
@@ -23,12 +17,10 @@ from repro.resex.resos import ResoAccount, ResoParams, provision_accounts
 from repro.resex.static_ratio import StaticRatio
 
 __all__ = [
-    "Follower",
     "FreeMarket",
     "HwShares",
     "IOShares",
     "RackFollower",
-    "ResExFederation",
     "InterferenceDetector",
     "LatencySLA",
     "MonitoredVM",

@@ -101,11 +101,11 @@ class ResExController:
         self.weights = weights
         self.vms: List[MonitoredVM] = []
         #: Cluster-wide congestion price (1.0 = calm), set when this
-        #: rack's :class:`~repro.resex.federation.PriceCoordinator`
-        #: reduces a round or its :class:`~repro.resex.federation.
-        #: PriceAgent` applies a cast.  Cluster-following policies
-        #: (rack-follower) read it every interval; purely local
-        #: deployments never touch it.
+        #: host's :class:`~repro.resex.federation.PriceCoordinator`
+        #: casts a round (to its own :meth:`local_price`) or its
+        #: :class:`~repro.resex.federation.PriceAgent` applies a cast.
+        #: The rack-follower policy reads it every interval; purely
+        #: local deployments never touch it.
         self.cluster_price = 1.0
         self.probes = ProbeSet(self.env, prefix="resex")
         self.intervals_run = 0
@@ -157,7 +157,7 @@ class ResExController:
 
     def local_price(self) -> float:
         """The highest charge rate currently imposed on any managed VM
-        — what this rack reports to the price federation each round."""
+        — what a price coordinator samples and casts each sync tick."""
         price = 1.0
         for vm in self.vms:
             if vm.charge_rate > price:

@@ -43,39 +43,6 @@ def seconds(value: float) -> int:
     return round(value * SEC)
 
 
-def gbps_to_bytes_per_sec(gbps: float) -> float:
-    """Link signalling rate in Gbit/s -> payload bytes per second.
-
-    Uses decimal giga for the bit rate (10 Gbps = 1e10 bit/s), matching
-    how fabric vendors quote rates.
-    """
-    return gbps * 1e9 / 8.0
-
-
-def wire_time_ns(nbytes: int, bytes_per_sec: float) -> int:
-    """Time to serialise ``nbytes`` onto a link of ``bytes_per_sec``.
-
-    Rounds up to a whole nanosecond so a transfer never completes in
-    zero time.
-    """
-    if nbytes <= 0:
-        return 0
-    t = nbytes * SEC / bytes_per_sec
-    it = int(t)
-    return it + 1 if t > it else max(it, 1)
-
-
-def format_duration(t_ns: int) -> str:
-    """Human-readable duration for logs and bench tables."""
-    if t_ns >= SEC:
-        return f"{t_ns / SEC:.3f}s"
-    if t_ns >= MS:
-        return f"{t_ns / MS:.3f}ms"
-    if t_ns >= US:
-        return f"{t_ns / US:.3f}us"
-    return f"{t_ns}ns"
-
-
 def format_bytes(nbytes: int) -> str:
     """Human-readable size (power-of-two units, as the paper uses)."""
     if nbytes >= GiB and nbytes % GiB == 0:

@@ -1,4 +1,4 @@
-"""LatencyAgent edge cases: capacity, drops, peek."""
+"""LatencyAgent edge cases: capacity, drops, drain."""
 
 import numpy as np
 
@@ -23,16 +23,8 @@ class TestAgentCapacity:
         assert agent.dropped == 0
         np.testing.assert_array_equal(agent.drain(), [3.0])
 
-    def test_peek_does_not_drain(self):
+    def test_drain_takes_everything_pending(self):
         agent = LatencyAgent(1)
         agent.report(10.0)
         agent.report(20.0)
-        n, mean = agent.peek_stats()
-        assert n == 2
-        assert mean == 15.0
         assert len(agent.drain()) == 2
-
-    def test_peek_empty(self):
-        n, mean = LatencyAgent(1).peek_stats()
-        assert n == 0
-        assert np.isnan(mean)

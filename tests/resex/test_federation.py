@@ -1,6 +1,6 @@
-"""Tests for federated ResEx: the two-host relay (Follower +
-ResExFederation) and the per-rack price federation endpoints
-(PriceCoordinator + PriceAgent)."""
+"""Tests for federated ResEx: the price federation endpoints
+(PriceCoordinator + PriceAgent) and the RackFollower policy, on the
+paper's two-host testbed (ablation A9) and on a small cluster."""
 
 import pytest
 
@@ -9,21 +9,47 @@ from repro.errors import PricingError
 from repro.experiments import Testbed
 from repro.hw import LeafSpine
 from repro.resex import (
-    Follower,
     IOShares,
     LatencySLA,
     PriceAgent,
     PriceCoordinator,
     RackFollower,
     ResExController,
-    ResExFederation,
 )
 from repro.units import SEC
 
 SLA = LatencySLA(base_mean_us=209.0, base_std_us=3.0, threshold_pct=10.0)
 
+SYNC_NS = 1_000_000
+
+
+def wire_price_federation(env, controllers, delay_ns=40_000):
+    """Coordinator on controller 0 and an agent on every other one,
+    joined by an in-process ``send`` that delivers each cast
+    ``delay_ns`` later.
+
+    Returns the endpoints by rack id (index 0 is the coordinator).
+    """
+    endpoints = []
+
+    def send(dst, round_no, price):
+        env.timeout(delay_ns).callbacks.append(
+            lambda _ev: endpoints[dst].on_cast(round_no, price)
+        )
+
+    endpoints.append(
+        PriceCoordinator(env, controllers[0], len(controllers), SYNC_NS, send)
+    )
+    for r, ctl in enumerate(controllers[1:], 1):
+        endpoints.append(PriceAgent(r, ctl))
+    endpoints[0].start()
+    return endpoints
+
 
 def build(federated, seed=5):
+    """The A9 deployment: IOShares on the server host and, federated,
+    a RackFollower on the client host managing only the interferer's
+    client VM, fed over a 50 us link every 1 ms."""
     bed = Testbed.paper_testbed(seed=seed)
     s, c = bed.node("server-host"), bed.node("client-host")
     rep = BenchExPair(
@@ -35,21 +61,30 @@ def build(federated, seed=5):
     ctl.monitor(intf.server_dom)
     ctl.start()
     fctl = None
-    fed = None
+    coord = None
     if federated:
-        fctl = ResExController(c, Follower())
+        fctl = ResExController(c, RackFollower())
         fctl.monitor(intf.client_dom)
-        fctl.monitor(rep.client_dom)
         fctl.start()
-        fed = ResExFederation(bed.env)
-        fed.link((ctl, intf.server_dom.domid), (fctl, intf.client_dom.domid))
-        fed.start()
-    return bed, rep, intf, ctl, fctl, fed
+        coord, _agent = wire_price_federation(bed.env, [ctl, fctl], 50_000)
+    return bed, rep, intf, ctl, fctl, coord
+
+
+def build_pair(seed=1):
+    """One bare guest per host: a coordinator controller on the server
+    host and an (unstarted) follower controller on the client host."""
+    bed = Testbed.paper_testbed(seed=seed)
+    s, c = bed.node("server-host"), bed.node("client-host")
+    ctl_s = ResExController(s, IOShares())
+    ctl_c = ResExController(c, RackFollower())
+    ctl_s.monitor(s.create_guest("a"))
+    ctl_c.monitor(c.create_guest("b"))
+    return bed, ctl_s, ctl_c
 
 
 class TestFederation:
     def test_rate_propagates_to_client_side(self):
-        bed, rep, intf, ctl, fctl, fed = build(True)
+        bed, rep, intf, ctl, fctl, coord = build(True)
         run_pairs(bed, [rep, intf], until_ns=1 * SEC)
         primary_rates = ctl.probes.series[
             f"resex.dom{intf.server_dom.domid}.rate"
@@ -63,7 +98,7 @@ class TestFederation:
         assert follower_rates.max() == pytest.approx(
             primary_rates.max(), rel=0.25
         )
-        assert fed.syncs > 500
+        assert coord.syncs > 500
 
     def test_interferer_client_gets_capped(self):
         bed, rep, intf, ctl, fctl, _ = build(True)
@@ -74,12 +109,13 @@ class TestFederation:
         assert caps.min() < 100
 
     def test_victim_client_untouched(self):
+        """Nothing caps the victim's client VM: the client-host
+        controller does not manage it, and its cap ends at 100."""
         bed, rep, intf, ctl, fctl, _ = build(True)
         run_pairs(bed, [rep, intf], until_ns=1 * SEC)
-        caps = fctl.probes.series[
-            f"resex.dom{rep.client_dom.domid}.cap"
-        ].values
-        assert caps.min() == 100
+        domid = rep.client_dom.domid
+        assert domid not in [vm.domid for vm in fctl.vms]
+        assert bed.node("client-host").hypervisor.get_cap(domid) == 100
 
     def test_federation_improves_on_single_sided(self):
         bed1, rep1, intf1, *_ = build(False)
@@ -91,34 +127,21 @@ class TestFederation:
         assert fed < single + 1.0  # at least as good; usually better
 
     def test_relay_delay(self):
-        """A primary rate change lands at the follower one sync round
+        """A server-host price lands on the client host one sync tick
         plus one propagation delay later — never earlier."""
-        bed = Testbed.paper_testbed(seed=1)
-        s, c = bed.node("server-host"), bed.node("client-host")
-        dom_s = s.create_guest("a")
-        dom_c = c.create_guest("b")
-        ctl_s = ResExController(s, IOShares())
-        ctl_c = ResExController(c, Follower())
-        ctl_s.monitor(dom_s)
-        ctl_c.monitor(dom_c)
-        fed = ResExFederation(
-            bed.env, sync_interval_ns=1_000_000, propagation_ns=50_000
-        )
-        fed.link((ctl_s, dom_s.domid), (ctl_c, dom_c.domid))
-        fed.start()
-
-        ctl_s.vm_by_domid(dom_s.domid).charge_rate = 5.0
-        follower_vm = ctl_c.vm_by_domid(dom_c.domid)
-        # Just before the sync message arrives: still the default rate.
-        bed.env.run(until=1_000_000 + 49_999)
-        assert follower_vm.charge_rate == 1.0
-        # The moment the propagation delay elapses: rate applied.
-        bed.env.run(until=1_000_000 + 50_001)
-        assert follower_vm.charge_rate == 5.0
-        assert fed.syncs == 1
+        bed, ctl_s, ctl_c = build_pair()
+        coord, _agent = wire_price_federation(bed.env, [ctl_s, ctl_c], 50_000)
+        ctl_s.vms[0].charge_rate = 5.0
+        # Just before the cast arrives: still the calm price.
+        bed.env.run(until=SYNC_NS + 49_999)
+        assert ctl_c.cluster_price == 1.0
+        # The moment the propagation delay elapses: price applied.
+        bed.env.run(until=SYNC_NS + 50_001)
+        assert ctl_c.cluster_price == 5.0
+        assert coord.syncs == 1
 
     def test_chaos_federation_link_drop(self):
-        """While the federation link is down, rate changes do not cross
+        """While the federation link is down, prices do not cross
         hosts; the follower keeps the stale price until recovery."""
         from repro.faults import (
             Fault,
@@ -127,86 +150,30 @@ class TestFederation:
             FederationOutage,
         )
 
-        bed = Testbed.paper_testbed(seed=1)
-        s, c = bed.node("server-host"), bed.node("client-host")
-        dom_s = s.create_guest("a")
-        dom_c = c.create_guest("b")
-        ctl_s = ResExController(s, IOShares())
-        ctl_c = ResExController(c, Follower())
-        ctl_s.monitor(dom_s)
-        ctl_c.monitor(dom_c)
-        fed = ResExFederation(
-            bed.env, sync_interval_ns=1_000_000, propagation_ns=50_000
-        )
-        fed.link((ctl_s, dom_s.domid), (ctl_c, dom_c.domid))
-        fed.start()
-
-        # Link down from 1.5 ms to 6.0 ms (sync rounds fire at 1.00,
-        # 2.05, 3.05, ... ms — each healthy round adds one propagation
-        # delay to the cadence — so rounds 2.05 through 5.05 are lost).
+        bed, ctl_s, ctl_c = build_pair()
+        coord, _agent = wire_price_federation(bed.env, [ctl_s, ctl_c], 50_000)
+        # Link down from 1.5 ms to 6.0 ms: the ticks at 2, 3, 4 and
+        # 5 ms are lost rounds.
         campaign = FaultCampaign.scripted(
             [Fault("federation-outage", "fed", 1_500_000, 4_500_000)],
             name="fed-drop",
         )
-        engine = FaultEngine(bed.env, campaign).register(FederationOutage(fed))
+        engine = FaultEngine(bed.env, campaign).register(FederationOutage(coord))
         engine.start()
 
-        primary_vm = ctl_s.vm_by_domid(dom_s.domid)
-        follower_vm = ctl_c.vm_by_domid(dom_c.domid)
+        primary_vm = ctl_s.vms[0]
         primary_vm.charge_rate = 3.0
-        bed.env.run(until=1_400_000)  # one healthy sync relays 3.0
-        assert follower_vm.charge_rate == 3.0
+        bed.env.run(until=1_400_000)  # one healthy round casts 3.0
+        assert ctl_c.cluster_price == 3.0
 
         primary_vm.charge_rate = 9.0  # raised while the link is down
         bed.env.run(until=5_500_000)
-        assert follower_vm.charge_rate == 3.0  # stale price held
-        assert fed.syncs_lost >= 3
+        assert ctl_c.cluster_price == 3.0  # stale price held
+        assert coord.syncs_lost >= 3
 
-        bed.env.run(until=7_000_000)  # link healed: next sync relays
-        assert follower_vm.charge_rate == 9.0
+        bed.env.run(until=7_000_000)  # link healed: the next round casts
+        assert ctl_c.cluster_price == 9.0
         assert engine.injected == 1 and engine.cleared == 1
-
-    def test_link_validation(self):
-        bed = Testbed.paper_testbed(seed=1)
-        s, c = bed.node("server-host"), bed.node("client-host")
-        dom_s = s.create_guest("a")
-        dom_c = c.create_guest("b")
-        ctl_s = ResExController(s, IOShares())
-        ctl_c = ResExController(c, Follower())
-        ctl_s.monitor(dom_s)
-        ctl_c.monitor(dom_c)
-        fed = ResExFederation(bed.env)
-        with pytest.raises(PricingError, match="distinct"):
-            fed.link((ctl_s, dom_s.domid), (ctl_s, dom_s.domid))
-        with pytest.raises(PricingError):
-            fed.link((ctl_s, 999), (ctl_c, dom_c.domid))
-        with pytest.raises(PricingError, match="no federation links"):
-            ResExFederation(bed.env).start()
-        with pytest.raises(PricingError):
-            ResExFederation(bed.env, sync_interval_ns=0)
-
-    def test_duplicate_follower_link_rejected(self):
-        """Two links feeding one follower VM would race (last writer
-        wins on charge_rate every sync round); the registration must
-        fail instead."""
-        bed = Testbed.paper_testbed(seed=1)
-        s, c = bed.node("server-host"), bed.node("client-host")
-        dom_s1 = s.create_guest("a1")
-        dom_s2 = s.create_guest("a2")
-        dom_c = c.create_guest("b")
-        ctl_s = ResExController(s, IOShares())
-        ctl_c = ResExController(c, Follower())
-        ctl_s.monitor(dom_s1)
-        ctl_s.monitor(dom_s2)
-        ctl_c.monitor(dom_c)
-        fed = ResExFederation(bed.env)
-        fed.link((ctl_s, dom_s1.domid), (ctl_c, dom_c.domid))
-        with pytest.raises(PricingError, match="already the follower"):
-            fed.link((ctl_s, dom_s2.domid), (ctl_c, dom_c.domid))
-        # The same primary may feed several followers, though.
-        dom_c2 = c.create_guest("b2")
-        ctl_c.monitor(dom_c2)
-        fed.link((ctl_s, dom_s1.domid), (ctl_c, dom_c2.domid))
 
 
 def build_cluster_bed(racks=3, seed=3):
@@ -230,69 +197,30 @@ def build_cluster_bed(racks=3, seed=3):
     return bed, controllers
 
 
-SYNC_NS = 1_000_000
-
-
-def wire_price_federation(env, controllers, delay_ns=40_000):
-    """Coordinator on rack 0 and an agent on every other rack, joined by
-    an in-process ``send`` that delivers each message ``delay_ns`` later.
-
-    Returns the endpoints by rack id (index 0 is the coordinator).
-    """
-    endpoints = []
-
-    def send(src, dst, verb, round_no, price):
-        def deliver(_ev):
-            if verb == "gather":
-                endpoints[0].on_gather(round_no, src, price)
-            else:
-                endpoints[dst].on_cast(round_no, price)
-
-        env.timeout(delay_ns).callbacks.append(deliver)
-
-    endpoints.append(
-        PriceCoordinator(env, controllers[0], len(controllers), SYNC_NS, send)
-    )
-    for r, ctl in enumerate(controllers[1:], 1):
-        endpoints.append(PriceAgent(env, r, ctl, SYNC_NS, send))
-    for endpoint in endpoints:
-        endpoint.start()
-    return endpoints
-
-
 class TestClusterFederation:
     """The per-rack price federation: a PriceCoordinator on rack 0 and
     a PriceAgent on every other rack."""
 
     def test_price_lands_only_after_the_cast(self):
-        """A price discovered in rack 0 reaches every rack's
-        cluster_price after one gather + cast round — the coordinator
-        once the last gather arrives, each agent once its cast does."""
+        """A price discovered in rack 0 becomes the cluster price at the
+        sync tick and reaches every other rack only when its cast
+        lands."""
         bed, ctls = build_cluster_bed()
         coord, *agents = wire_price_federation(bed.env, ctls)
         ctls[0].vms[0].charge_rate = 7.0
 
-        # At the sync instant the gathers are still in flight.
-        bed.env.run(until=SYNC_NS + 1)
+        # Just before the tick: nothing cast yet.
+        bed.env.run(until=SYNC_NS - 1)
         assert all(ctl.cluster_price == 1.0 for ctl in ctls)
-        # Gathers landed and the round reduced; casts still in flight.
-        bed.env.run(until=SYNC_NS + 60_000)
+        # At the tick rack 0 adopts its price; the casts are in flight.
+        bed.env.run(until=SYNC_NS + 1)
         assert coord.cluster_price == ctls[0].cluster_price == 7.0
         assert all(ctl.cluster_price == 1.0 for ctl in ctls[1:])
         # The casts landed: applied everywhere, one round each.
-        bed.env.run(until=SYNC_NS + 100_000)
+        bed.env.run(until=SYNC_NS + 40_001)
         assert all(ctl.cluster_price == 7.0 for ctl in ctls)
         assert coord.syncs == 1
         assert all(agent.syncs == 1 for agent in agents)
-
-    def test_max_reduce_across_racks(self):
-        bed, ctls = build_cluster_bed()
-        coord, *agents = wire_price_federation(bed.env, ctls)
-        ctls[1].vms[0].charge_rate = 3.0
-        ctls[2].vms[0].charge_rate = 5.0
-        bed.env.run(until=2 * SYNC_NS)
-        assert coord.cluster_price == 5.0
-        assert all(agent.cluster_price == 5.0 for agent in agents)
 
     def test_rack_follower_applies_cluster_price(self):
         """A started RackFollower controller prices its VMs at the
@@ -323,7 +251,7 @@ class TestClusterFederation:
 
     def test_agent_drops_stale_casts(self):
         bed, ctls = build_cluster_bed()
-        agent = PriceAgent(bed.env, 1, ctls[1], SYNC_NS, send=None)
+        agent = PriceAgent(1, ctls[1])
         agent.on_cast(2, 6.0)
         agent.on_cast(1, 3.0)  # an older round arriving late
         agent.on_cast(2, 8.0)  # a repeat of an applied round
@@ -336,7 +264,5 @@ class TestClusterFederation:
             PriceCoordinator(bed.env, ctls[0], 3, 0, send=None)
         with pytest.raises(PricingError, match="at least two racks"):
             PriceCoordinator(bed.env, ctls[0], 1, SYNC_NS, send=None)
-        with pytest.raises(PricingError, match="positive"):
-            PriceAgent(bed.env, 1, ctls[1], 0, send=None)
         with pytest.raises(PricingError, match="rack 0 is the coordinator"):
-            PriceAgent(bed.env, 0, ctls[1], SYNC_NS, send=None)
+            PriceAgent(0, ctls[1])

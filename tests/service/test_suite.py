@@ -1,9 +1,5 @@
-"""Service replay through the sweep engine: fan-out, cache, suite."""
+"""Service replay through the sweep engine: fan-out and cache."""
 
-import pytest
-
-from repro.errors import ConfigError
-from repro.experiments.suite import run_service_set
 from repro.parallel import SweepJob, run_sweep
 
 
@@ -37,17 +33,3 @@ class TestServiceCells:
         assert [c.metrics for c in cold.cells] == [
             c.metrics for c in warm.cells
         ]
-
-
-class TestServiceSet:
-    def test_named_subset(self):
-        results, report = run_service_set(
-            ["service_smoke"], seed=7, requests=60
-        )
-        assert list(results) == ["service_smoke"]
-        assert results["service_smoke"]["requests"] == 60.0
-        assert report.executed == 1
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError, match="unknown service presets"):
-            run_service_set(["service_nope"])

@@ -107,14 +107,18 @@ def _doc_sha(out: str) -> str:
 
 
 #: sha256 of stdout, pinned at the CLI before its option layer was shared.
+#: ``cluster`` was re-captured when the price federation became cast-only
+#: (rack 0's price no longer mixes with followers' echoed prices), and
+#: ``sweep-failure`` when the ``follower`` policy left the registry its
+#: error message lists.
 STDOUT_SHA256 = {
-    "cluster": "bd9fd61c7d922172b1cc8a22d08ad8f9af525bcfba521e0f29fe3c08bd2522f0",
+    "cluster": "6500562b6d22b080fe2dd8f3507fcbb960c133d1d874fc56d9f6d87093bb863d",
     "chaos": "1d6b8ba429d8aab32b195e0ff7eb624e036932211f274c5d39cab2771c2ccca7",
     "scenario": "626892268cdb59d028510f5ac1331a5801a0c2c111fac4f5efa6b055c86b2a08",
     "figures": "93848762afa64bb55b4b399333b4368e4da1749e0838a2b4b697ae428ec99b6c",
     "sweep": "c2489b4f92bbcd4c1b3ee45cbe94d94af10e5bfa926de57b30b0b316d28e19b1",
     "sweep-supervised": "1ac344d3f25339698c7abc0605f06dcd431094ce20b5f7febac8d6c2d17b545c",
-    "sweep-failure": "26c0d22e666c5d3431f913eefc311acb3599f261d203d77b71b11bba1f4018da",
+    "sweep-failure": "8cfde14cd667c35beacd9515d841d75f8ebe46c7212e6d8ca28bc9419f484149",
 }
 
 COMMANDS = {

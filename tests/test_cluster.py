@@ -15,6 +15,7 @@ from repro.experiments.cluster import (
 )
 from repro.parallel import SweepJob, run_sweep
 from repro.sim import invariants
+from repro.units import MS, SEC
 
 #: A deliberately tiny spec so most tests run in well under a second.
 TINY = ClusterSpec(
@@ -144,6 +145,30 @@ class TestRun:
             assert ctl.node is head
 
 
+    def test_calm_rack0_price_reaches_every_rack(self):
+        """Once rack 0's own price is calm, the cluster price follows it
+        down by the next 25 ms sample, on rack 0 and on every follower
+        (follower racks must not echo a stale price back into it)."""
+        setup = build_cluster("cluster_smoke", seed=7)
+        world = setup.world
+        rack0, *followers = setup.controllers
+        world.launch(int(0.3 * SEC))
+        samples = []
+        for k in range(1, 13):
+            world.env.run(until=k * 25 * MS)
+            samples.append((
+                rack0.local_price(),
+                [world.coordinator.cluster_price]
+                + [ctl.cluster_price for ctl in followers],
+            ))
+        checked = 0
+        for (before, _), (local, prices) in zip(samples, samples[1:]):
+            if before == 1.0 and local == 1.0:
+                assert prices == [1.0] * len(prices), prices
+                checked += 1
+        assert checked > 0  # rack 0 did calm down inside the run
+
+
 class TestSweepIntegration:
     def test_cluster_cells_are_cacheable(self, tmp_path):
         cells = [SweepJob("cluster", "cluster_smoke", 7, {"sim_s": 0.02})]
@@ -153,22 +178,6 @@ class TestSweepIntegration:
         assert warm.report.cached == 1
         assert warm.cells[0].metrics == cold.cells[0].metrics
         assert cold.cells[0].metrics["hosts"] == 16.0
-
-    def test_run_cluster_set(self):
-        from repro.experiments import run_cluster_set
-
-        results, report = run_cluster_set(
-            ["cluster_smoke"], seed=7, sim_s=0.02
-        )
-        assert set(results) == {"cluster_smoke"}
-        assert results["cluster_smoke"]["flows_completed"] >= 0
-        assert report.executed == 1 and report.errors == 0
-
-    def test_run_cluster_set_unknown_name(self):
-        from repro.experiments import run_cluster_set
-
-        with pytest.raises(ConfigError, match="unknown cluster presets"):
-            run_cluster_set(["bogus"])
 
 
 class TestClusterCommand:

@@ -31,42 +31,7 @@ class TestDataUnits:
         assert units.GiB == 1024**3
 
 
-class TestWireTime:
-    def test_exact_division(self):
-        # 1024 bytes at 1024 bytes/sec = exactly 1 second.
-        assert units.wire_time_ns(1024, 1024.0) == units.SEC
-
-    def test_rounds_up(self):
-        # Never zero for a non-empty payload.
-        assert units.wire_time_ns(1, 1e12) >= 1
-
-    def test_zero_bytes(self):
-        assert units.wire_time_ns(0, 1e9) == 0
-
-    def test_paper_link(self):
-        # 1 KiB MTU at 1 GiB/s: ~954 ns.
-        t = units.wire_time_ns(1024, units.gbps_to_bytes_per_sec(8.0))
-        assert t == pytest.approx(1024 / 1e9 * 1e9, rel=0.05)
-
-
-class TestGbps:
-    def test_conversion(self):
-        assert units.gbps_to_bytes_per_sec(8.0) == 1e9
-
-
 class TestFormatting:
-    @pytest.mark.parametrize(
-        "t,expected",
-        [
-            (500, "500ns"),
-            (1_500, "1.500us"),
-            (2_500_000, "2.500ms"),
-            (3_000_000_000, "3.000s"),
-        ],
-    )
-    def test_duration(self, t, expected):
-        assert units.format_duration(t) == expected
-
     @pytest.mark.parametrize(
         "n,expected",
         [
