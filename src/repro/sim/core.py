@@ -1,14 +1,19 @@
 """The discrete-event simulation environment.
 
-Time is an integer number of nanoseconds (see :mod:`repro.units`).  The
-event heap is keyed by ``(time, priority, sequence)`` so execution order
-is fully deterministic for a given program.
+Time is an integer number of nanoseconds (see :mod:`repro.units`).  Every
+event is keyed by ``(time, priority, sequence)`` so execution order is
+fully deterministic for a given program.  NORMAL events due now (about
+half of all events) go on a FIFO instead of the heap: they all carry
+``time == now`` and rising sequence numbers, so the FIFO is sorted, and
+dispatching the smaller of its head and the heap top by the full key
+gives exactly a single heap's order.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Iterable, List, Optional, Tuple
 
 from repro import telemetry
 from repro.errors import SimulationError, StopSimulation
@@ -44,6 +49,8 @@ class Environment:
     def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
         self._queue: List[Tuple[int, int, int, Event]] = []
+        #: NORMAL entries due at ``now``, in key order (module docstring).
+        self._fifo: Deque[Tuple[int, int, int, Event]] = deque()
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._events_processed: int = 0
@@ -77,7 +84,7 @@ class Environment:
     @property
     def queue_length(self) -> int:
         """Number of scheduled-but-unprocessed events."""
-        return len(self._queue)
+        return len(self._queue) + len(self._fifo)
 
     # -- event factories -------------------------------------------------------
     def event(self) -> Event:
@@ -107,14 +114,19 @@ class Environment:
 
     # -- scheduling -------------------------------------------------------------
     def schedule(self, event: Event, delay: int = 0, priority: int = NORMAL) -> None:
-        """Place a triggered event on the heap ``delay`` ns in the future."""
+        """Schedule a triggered event ``delay`` ns in the future."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        if delay == 0 and priority == NORMAL:
+            self._fifo.append((self._now, NORMAL, self._seq, event))
+        else:
+            heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> int:
         """Time of the next scheduled event, or :data:`INFINITY` if empty."""
+        if self._fifo:
+            return self._now
         if not self._queue:
             return INFINITY
         return self._queue[0][0]
@@ -133,11 +145,21 @@ class Environment:
         Returns the number of events processed.
         """
         queue = self._queue
+        fifo = self._fifo
         heappop = heapq.heappop
+        popleft = fifo.popleft
         inv = self.invariants
         base = self._events_processed
-        while queue and queue[0][0] < limit:
-            when, _prio, _seq, event = heappop(queue)
+        while True:
+            # The smaller of the two heads, by the full key.
+            if fifo and not (queue and queue[0] < fifo[0]):
+                if fifo[0][0] >= limit:
+                    break
+                when, _prio, _seq, event = popleft()
+            elif queue and queue[0][0] < limit:
+                when, _prio, _seq, event = heappop(queue)
+            else:
+                break
             # Event-time monotonicity guard: one int compare on the
             # healthy path; the monitor is consulted only on an actual
             # regression, and only when a guard mode is on.
@@ -162,7 +184,9 @@ class Environment:
             # The disabled bus costs only this load and branch.
             tel = self.telemetry
             if tel.enabled:
-                tel.kernel_tick(when, self._events_processed, len(queue), event)
+                tel.kernel_tick(
+                    when, self._events_processed, len(queue) + len(fifo), event
+                )
 
             if not event._ok and not event._defused:
                 exc = event._value

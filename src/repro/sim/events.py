@@ -8,17 +8,20 @@ event's value (or throws the event's exception into it).
 Events move through three states:
 
 ``pending``  -> created, not yet triggered
-``triggered``-> has a value/exception and is scheduled on the heap
+``triggered``-> has a value/exception and is scheduled
 ``processed``-> its callbacks have run
 
 Unlike wall-clock frameworks there is no concurrency here; callbacks run
 synchronously inside ``Environment.run_window`` in deterministic order.
 
-Hot-path note: triggering an event pushes directly onto the
-environment's heap (the exact operation :meth:`Environment.schedule`
-performs for a zero delay) instead of going through the method call —
-``succeed``/``fail``/``Timeout`` together account for the majority of
-heap pushes in a run, and the kernel's per-event budget is small.
+Hot-path note: triggering an event appends directly to the
+environment's FIFO of events due now (the exact operation
+:meth:`Environment.schedule` performs for a zero delay at NORMAL
+priority) instead of going through the method call, and a
+:class:`Timeout` pushes onto the heap itself unless its delay is zero.
+``succeed``/``fail``/``Timeout`` together schedule the majority of
+events in a run, and the kernel's per-event budget is small; an event
+on the FIFO skips the heap's push and pop altogether.
 Callback lists support *tombstones*: a cancelled slot is set to
 ``None`` in place (O(1)) rather than removed by a list scan, and the
 dispatch loop skips dead slots.
@@ -107,7 +110,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, NORMAL, env._seq, self))
+        env._fifo.append((env._now, NORMAL, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,7 +126,7 @@ class Event:
         self._value = exception
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, NORMAL, env._seq, self))
+        env._fifo.append((env._now, NORMAL, env._seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -160,7 +163,10 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq += 1
-        heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
+        if delay:
+            heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
+        else:
+            env._fifo.append((env._now, NORMAL, env._seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}ns at {id(self):#x}>"
@@ -304,8 +310,8 @@ class FirstOf(Event):
     """Triggers with the outcome of whichever of two events fires first.
 
     The lean two-event form of :class:`AnyOf` for waiters that never
-    read the condition's value: it lands on the heap at the same
-    ``(now, NORMAL, seq)`` an ``AnyOf([a, b])`` would, and a failure
+    read the condition's value: it is scheduled at the same
+    ``(now, NORMAL, seq)`` an ``AnyOf([a, b])`` would be, and a failure
     propagates (and is defused) the same way, but its value is the
     winning event's value rather than a :class:`ConditionValue`, and
     it skips the evaluate callback and the sub-event bookkeeping.
@@ -339,7 +345,7 @@ class FirstOf(Event):
         self._value = event._value
         env = self.env
         env._seq += 1
-        heappush(env._queue, (env._now, NORMAL, env._seq, self))
+        env._fifo.append((env._now, NORMAL, env._seq, self))
 
 
 class Interrupt(Exception):

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.errors import SchedulerError
 from repro.sim.core import Environment
-from repro.sim.events import PENDING, Event
+from repro.sim.events import PENDING, Event, FirstOf, Timeout
 from repro.sim.invariants import GUARD_CREDIT_CAP
 from repro.units import MS
 from repro.xen.vcpu import VCPU, Compute, PollUntil
@@ -67,8 +67,9 @@ class PCPUScheduler:
 
     def notify_work(self) -> None:
         """Wake the scheduler loop if it is idling."""
-        if self._work_signal is not None and not self._work_signal.triggered:
-            self._work_signal.succeed()
+        signal = self._work_signal
+        if signal is not None and signal._value is PENDING:
+            signal.succeed()
 
     # -- main loop -------------------------------------------------------------
     def _pick(self, eligible: List[VCPU]) -> VCPU:
@@ -120,51 +121,56 @@ class PCPUScheduler:
             period_end = env.now + period_ns
 
             while env._now < period_end:
-                eligible = [
-                    v
-                    for v in vcpus
-                    if not v.frozen
-                    and v._work
-                    and v.used_in_period < v.cap_budget_ns(period_ns)
-                ]
+                # One pass yields the eligible VCPUs, whether any work is
+                # queued and whether any budget was used this period.
+                eligible = []
+                queued = used = False
+                for v in vcpus:
+                    if v.used_in_period:
+                        used = True
+                    if v._work:
+                        queued = True
+                        if not v.frozen and v.used_in_period < v.cap_budget_ns(
+                            period_ns
+                        ):
+                            eligible.append(v)
                 if not eligible:
-                    if not any(v._work for v in vcpus) and all(
-                        v.used_in_period == 0 for v in vcpus
-                    ):
+                    signal = self._work_signal = Event(env)
+                    if not queued and not used:
                         # Idle with a completely untouched period: sleep
                         # with no timer.  Re-phasing the period on wake is
                         # harmless because no budget has been consumed —
                         # never re-phase otherwise, or caps would reset
                         # whenever a work queue momentarily empties.
-                        self._work_signal = Event(env)
-                        yield self._work_signal
+                        yield signal
                         self._work_signal = None
-                        period_end = env.now + period_ns
+                        period_end = env._now + period_ns
                         continue
                     # Capped out, or idle mid-period: wait for work or the
                     # period boundary (budgets replenish only there).
-                    self._work_signal = Event(env)
-                    yield env.first_of(
-                        self._work_signal, env.timeout(period_end - env.now)
-                    )
+                    yield FirstOf(env, signal, Timeout(env, period_end - env._now))
                     self._work_signal = None
                     continue
 
-                vcpu = self._pick(eligible)
+                horizon = period_end - env._now
+                if len(eligible) == 1:
+                    # A lone VCPU is its own pick (the clamp has nothing
+                    # to act on) and runs to its budget/period edge.
+                    vcpu = eligible[0]
+                    vcpu._needs_vtime_clamp = False
+                else:
+                    # Competition: pick, and preempt at quantum granularity.
+                    vcpu = self._pick(eligible)
+                    if quantum_ns < horizon:
+                        horizon = quantum_ns
+                # Eligibility leaves budget, and the loop leaves period,
+                # so the horizon is positive.
                 budget_left = vcpu.cap_budget_ns(period_ns) - vcpu.used_in_period
-                horizon = min(budget_left, period_end - env._now)
-                if horizon <= 0:
-                    # Cap boundary rounding: skip to the next period edge.
-                    yield env.timeout(period_end - env.now)
-                    continue
-                # Preempt at quantum granularity only when there is actual
-                # competition; a lone VCPU runs to its budget/period edge.
-                if len(eligible) > 1:
-                    horizon = min(horizon, quantum_ns)
+                if budget_left < horizon:
+                    horizon = budget_left
                 slice_start = env._now
-                item = vcpu._work[0]
-                if item.started_at is None:
-                    item.started_at = slice_start
+                work = vcpu._work
+                item = work[0]
                 # A PollUntil slice may legitimately overshoot the horizon
                 # by the final poll check that observes the completion;
                 # anything beyond that is a cap-accounting violation.
@@ -174,33 +180,37 @@ class PCPUScheduler:
                 # (inlined rather than a `yield from` helper: one
                 # generator frame per slice on the hottest loop)
                 if isinstance(item, Compute):
-                    ran = min(horizon, item.remaining)
+                    ran = item.remaining
+                    if horizon < ran:
+                        ran = horizon
                     if ran > 0:
-                        yield env.timeout(ran)
+                        yield Timeout(env, ran)
                     item.remaining -= ran
                     if item.remaining <= 0:
-                        vcpu._finish_current()
+                        work.popleft().done.succeed()
                 elif isinstance(item, PollUntil):
                     slice_slack = item.check_cost_ns
                     done = item.event
                     if done.callbacks is None or done._value is not PENDING:
                         # Completion already there: one poll check sees it.
-                        ran = max(min(item.check_cost_ns, horizon), 1)
-                        yield env.timeout(ran)
+                        ran = item.check_cost_ns
+                        if horizon < ran:
+                            ran = horizon
+                        yield Timeout(env, ran)
                         item.polled_ns += ran
-                        vcpu._finish_current(item.polled_ns)
+                        work.popleft().done.succeed(item.polled_ns)
                     else:
-                        yield env.first_of(env.timeout(horizon), done)
+                        yield FirstOf(env, Timeout(env, horizon), done)
                         ran = env._now - slice_start
                         item.polled_ns += ran
                         if done._value is not PENDING:
                             # Charge the final poll check that observes
                             # the CQE.
                             d = item.check_cost_ns
-                            yield env.timeout(d)
+                            yield Timeout(env, d)
                             item.polled_ns += d
                             ran += d
-                            vcpu._finish_current(item.polled_ns)
+                            work.popleft().done.succeed(item.polled_ns)
                 else:  # pragma: no cover
                     raise SchedulerError(f"unknown work item type: {item!r}")
                 vcpu._running_since = None

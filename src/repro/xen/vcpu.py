@@ -21,7 +21,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.errors import SchedulerError
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -29,14 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class WorkItem:
-    """Base class for schedulable guest work."""
+    """Base class for schedulable guest work.
 
-    __slots__ = ("done", "submitted_at", "started_at")
+    Each subclass sets its ``done`` completion event itself.
+    """
 
-    def __init__(self, env: "Environment") -> None:
-        self.done = Event(env)
-        self.submitted_at = env.now
-        self.started_at: Optional[int] = None
+    __slots__ = ("done",)
 
 
 class Compute(WorkItem):
@@ -47,7 +45,7 @@ class Compute(WorkItem):
     def __init__(self, env: "Environment", duration_ns: int) -> None:
         if duration_ns < 0:
             raise SchedulerError(f"negative compute duration: {duration_ns}")
-        super().__init__(env)
+        self.done = Event(env)
         self.remaining = int(duration_ns)
 
 
@@ -61,7 +59,7 @@ class PollUntil(WorkItem):
     ) -> None:
         if check_cost_ns <= 0:
             raise SchedulerError(f"check cost must be > 0: {check_cost_ns}")
-        super().__init__(env)
+        self.done = Event(env)
         self.event = event
         self.check_cost_ns = int(check_cost_ns)
         #: Total CPU time burned polling (the PTime ingredient).
@@ -164,18 +162,18 @@ class VCPU:
         return item.done
 
     def _submit(self, item: WorkItem) -> None:
-        if self.scheduler is None:
+        scheduler = self.scheduler
+        if scheduler is None:
             raise SchedulerError(
                 f"VCPU {self.vcpu_id} is not attached to a scheduler"
             )
         if not self._work:
             self._needs_vtime_clamp = True
         self._work.append(item)
-        self.scheduler.notify_work()
-
-    def _finish_current(self, value: object = None) -> None:
-        item = self._work.popleft()
-        item.done.succeed(value)
+        # PCPUScheduler.notify_work, inlined: one submission per request.
+        signal = scheduler._work_signal
+        if signal is not None and signal._value is PENDING:
+            signal.succeed()
 
     def __repr__(self) -> str:
         return (

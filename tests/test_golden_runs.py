@@ -5,8 +5,9 @@ The fixtures under ``tests/golden/`` were captured by
 simulator: a fully traced managed run (which pins the complete
 telemetry record stream of every layer, including the kernel's
 events-processed counters — so event count, order and timing are all
-immovable) and a chaos-campaign ResilienceReport (which pins the
-fault-injection path end to end).
+immovable), a chaos-campaign ResilienceReport (which pins the
+fault-injection path end to end), a service replay, and every credit
+slice of seeded programs on PCPUs shared by up to three VCPUs.
 
 Any PR may make the simulator faster; no PR may make these outputs
 differ by a single byte without regenerating the fixtures and saying
@@ -70,6 +71,17 @@ def test_service_replay_is_byte_identical(capture_golden):
         "fixture; if the behaviour change is intentional, regenerate "
         "with `PYTHONPATH=src python tools/capture_golden.py` and say "
         "so in the commit message"
+    )
+
+
+def test_credit_slices_are_byte_identical(capture_golden):
+    golden = (GOLDEN_DIR / capture_golden.CREDIT_NAME).read_text()
+    produced = capture_golden.golden_credit_bytes()
+    assert produced == golden, (
+        "the credit scheduler's slices on crowded PCPUs drifted from the "
+        "golden fixture; if the behaviour change is intentional, "
+        "regenerate with `PYTHONPATH=src python tools/capture_golden.py` "
+        "and say so in the commit message"
     )
 
 
