@@ -56,7 +56,6 @@ class BenchExPair:
     # -- lifecycle -------------------------------------------------------------
     def deploy(self):
         """Create contexts, CQs, QPs, MRs; connect (process generator)."""
-        env = self.bed.env
         cfg = self.config
 
         server_ctx = yield from self.server_fe.open_context()
@@ -75,12 +74,10 @@ class BenchExPair:
         )
         yield from connect(server_ctx, server_qp, client_ctx, client_qp)
 
-        rng_server = self.bed.rng.stream(f"{cfg.name}/server")
-        rng_client = self.bed.rng.stream(f"{cfg.name}/client")
-        self.server = BenchExServer(
-            cfg, server_ctx, server_qp, rng_server, agent=self.agent
+        self.server = BenchExServer(cfg, server_ctx, server_qp, agent=self.agent)
+        self.client = BenchExClient(
+            cfg, client_ctx, client_qp, self.bed.rng.stream(f"{cfg.name}/client")
         )
-        self.client = BenchExClient(cfg, client_ctx, client_qp, rng_client)
         yield from self.server.setup(self.server_fe)
         yield from self.client.setup(self.client_fe)
 

@@ -42,9 +42,6 @@ class BenchExConfig:
     #: Per-request cost of the in-VM latency reporting agent, when an
     #: agent is attached (the paper measures ~10 us).
     reporting_cost_ns: int = 10 * US
-    #: If True, the server really executes the Black-Scholes batch (the
-    #: numbers are computed); if False only the CPU cost is simulated.
-    execute_finance_kernel: bool = True
     #: Completion detection: "poll" busy-polls the CQ (the paper's
     #: latency-critical style); "event" sleeps on the completion channel
     #: and pays interrupt cost instead of CPU.

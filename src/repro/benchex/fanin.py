@@ -19,7 +19,7 @@ from repro.benchex.config import BenchExConfig
 from repro.benchex.latency import LatencyRecord
 from repro.benchex.reporting import LatencyAgent
 from repro.errors import BenchmarkError
-from repro.finance.workload import compute_cost_ns, process_request
+from repro.finance.workload import compute_cost_ns
 from repro.ib.cq import WCStatus
 from repro.ib.mr import Access
 from repro.ib.verbs import connect
@@ -31,10 +31,9 @@ class FanInServer:
 
     RECV_HEADROOM = 4
 
-    def __init__(self, config: BenchExConfig, ctx, rng, agent: Optional[LatencyAgent] = None) -> None:
+    def __init__(self, config: BenchExConfig, ctx, agent: Optional[LatencyAgent] = None) -> None:
         self.config = config
         self.ctx = ctx
-        self.rng = rng
         self.agent = agent
         self.qps: List = []
         self.srq = None
@@ -97,12 +96,7 @@ class FanInServer:
                 raise BenchmarkError(f"fan-in request failed: {cqe.status}")
             qp = qp_by_num[cqe.qp_num]
 
-            request = cqe.payload
-            if cfg.execute_finance_kernel and request is not None:
-                result, cost_ns = process_request(request, self.rng)
-            else:
-                result, cost_ns = None, compute_cost_ns(cfg.n_options)
-            yield vcpu.compute(cost_ns)
+            yield vcpu.compute(compute_cost_ns(cqe.payload.n_options))
             t_computed = env.now
 
             yield from self.ctx.post_srq_recv(self.srq, self._recv_mr)
@@ -110,7 +104,7 @@ class FanInServer:
                 qp,
                 self._send_mr,
                 length=cfg.buffer_bytes,
-                payload=result,
+                payload=None,
                 imm_data=cqe.imm_data,
             )
             yield from self._await_cq(self.send_cq)
@@ -173,12 +167,7 @@ class BenchExFanIn:
         """Process generator: set up the server, clients, connections."""
         cfg = self.config
         server_ctx = yield from self.server_fe.open_context()
-        self.server = FanInServer(
-            cfg,
-            server_ctx,
-            self.bed.rng.stream(f"{cfg.name}/server"),
-            agent=self.agent,
-        )
+        self.server = FanInServer(cfg, server_ctx, agent=self.agent)
         yield from self.server.setup(self.server_fe, self.n_clients)
 
         for i, fe in enumerate(self.client_fes):

@@ -7,7 +7,7 @@ transaction may change the outcome of the next, paper §IV).
 Per-request cycle and its measured decomposition::
 
     poll recv CQ  ──────────────► PTime  (request observation)
-    process (Black-Scholes batch)► CTime
+    charge the batch's CPU ─────► CTime  (n_options × NS_PER_OPTION)
     post response SEND
     poll send CQ  ──────────────► WTime  (response on the wire + ack)
 
@@ -25,7 +25,7 @@ from repro.benchex.config import BenchExConfig
 from repro.benchex.latency import LatencyRecord
 from repro.benchex.reporting import LatencyAgent
 from repro.errors import BenchmarkError
-from repro.finance.workload import PricingRequest, compute_cost_ns, process_request
+from repro.finance.workload import PricingRequest, compute_cost_ns
 from repro.ib.cq import WCStatus
 from repro.ib.mr import Access
 from repro.ib.qp import QueuePair
@@ -44,13 +44,11 @@ class BenchExServer:
         config: BenchExConfig,
         ctx: IBContext,
         qp: QueuePair,
-        rng: np.random.Generator,
         agent: Optional[LatencyAgent] = None,
     ) -> None:
         self.config = config
         self.ctx = ctx
         self.qp = qp
-        self.rng = rng
         self.agent = agent
         #: Completed-request records (post-warmup).
         self.records: List[LatencyRecord] = []
@@ -105,14 +103,9 @@ class BenchExServer:
                     f"server {cfg.name}: request completion failed: {cqe.status}"
                 )
 
-            # --- CTime: price the batch ----------------------------------
+            # --- CTime: the batch's calibrated pricing cost ---------------
             request: PricingRequest = cqe.payload
-            if cfg.execute_finance_kernel and request is not None:
-                result, cost_ns = process_request(request, self.rng)
-            else:
-                cost_ns = compute_cost_ns(cfg.n_options)
-                result = None
-            yield vcpu.compute(cost_ns)
+            yield vcpu.compute(compute_cost_ns(request.n_options))
             t_computed = env.now
 
             # Replenish the consumed receive before responding.
@@ -123,7 +116,7 @@ class BenchExServer:
                 self.qp,
                 self._send_mr,
                 length=cfg.buffer_bytes,
-                payload=result,
+                payload=None,
                 imm_data=cqe.imm_data,
             )
             send_cqes, _polled = yield from self._await_cq(self.qp.send_cq)

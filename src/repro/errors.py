@@ -139,7 +139,7 @@ class FaultError(ReproError):
 
 
 class FinanceError(ReproError):
-    """Errors from the financial algorithms library."""
+    """Invalid pricing input, request or batch size (repro.finance)."""
 
     code = "finance"
 

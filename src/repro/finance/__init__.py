@@ -1,6 +1,6 @@
-"""Financial algorithms library (the BenchEx processing kernel)."""
+"""The BenchEx processing kernel: its request type, calibrated cost and
+the Black-Scholes pricing routines the cost stands for."""
 
-from repro.finance.binomial import crr_price
 from repro.finance.black_scholes import (
     call_price,
     d1_d2,
@@ -12,31 +12,16 @@ from repro.finance.black_scholes import (
     theta,
     vega,
 )
-from repro.finance.implied_vol import implied_vol
-from repro.finance.monte_carlo import MCResult, gbm_terminal, mc_european
-from repro.finance.workload import (
-    NS_PER_OPTION,
-    PricingRequest,
-    PricingResult,
-    compute_cost_ns,
-    process_request,
-)
+from repro.finance.workload import NS_PER_OPTION, PricingRequest, compute_cost_ns
 
 __all__ = [
-    "MCResult",
     "NS_PER_OPTION",
     "PricingRequest",
-    "PricingResult",
     "call_price",
     "compute_cost_ns",
-    "crr_price",
     "d1_d2",
     "delta",
     "gamma",
-    "gbm_terminal",
-    "implied_vol",
-    "mc_european",
-    "process_request",
     "put_call_parity_gap",
     "put_price",
     "rho",

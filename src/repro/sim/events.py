@@ -148,9 +148,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` nanoseconds after creation."""
+    """An event that triggers ``delay`` nanoseconds after creation.
 
-    __slots__ = ("delay",)
+    It carries its value from creation, so ``_value`` alone does not say
+    it has fired; :func:`fired` reads its due time ``at`` as well.
+    """
+
+    __slots__ = ("at",)
 
     def __init__(self, env: "Environment", delay: int, value: Any = None) -> None:
         delay = int(delay)
@@ -161,15 +165,31 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._defused = False
-        self.delay = delay
+        at = self.at = env._now + delay
         env._seq += 1
         if delay:
-            heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
+            heappush(env._queue, (at, NORMAL, env._seq, self))
         else:
-            env._fifo.append((env._now, NORMAL, env._seq, self))
+            env._fifo.append((at, NORMAL, env._seq, self))
 
     def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}ns at {id(self):#x}>"
+        return f"<Timeout at={self.at}ns at {id(self):#x}>"
+
+
+def fired(event: Event) -> bool:
+    """True once ``event``'s outcome holds at the current instant: it
+    has been processed, or it is triggered and due now.
+
+    The one "has fired" test outside the kernel's dispatch loop.  For
+    any event but a :class:`Timeout` it is ``_value is not PENDING``;
+    a ``Timeout`` holds its value from creation and has fired only once
+    its time has come.
+    """
+    if event.callbacks is None:
+        return True
+    if event._value is PENDING:
+        return False
+    return not isinstance(event, Timeout) or event.at <= event.env._now
 
 
 class Initialize(Event):
@@ -263,9 +283,9 @@ class Condition(Event):
             self.succeed(ConditionValue(self._collect_triggered()))
 
     def _collect_triggered(self) -> List[Event]:
-        # An event counts as "fired" for the condition only once it has been
-        # processed by the kernel (Timeouts carry their value from creation,
-        # so checking _value alone would wrongly include future timeouts).
+        # The value lists the sub-events the kernel has processed, as
+        # SimPy's does: stricter than :func:`fired`, which also counts a
+        # triggered event that is due now but not yet dispatched.
         return [e for e in self._events if e.callbacks is None]
 
     def _check(self, event: Event) -> None:

@@ -70,8 +70,17 @@ class Process(Event):
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
-        interrupt_event.callbacks = [self._resume_cb]
+        interrupt_event.callbacks = [self._deliver_interrupt]
         self.env.schedule(interrupt_event, priority=URGENT)
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        """Throw the interrupt in, unless the process ended after it was
+        scheduled (an earlier interrupt at the same instant ended it):
+        then it is dropped, as SimPy does."""
+        if self._value is PENDING:
+            self._resume(event)
+        else:
+            event._defused = True
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""

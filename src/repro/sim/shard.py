@@ -625,17 +625,24 @@ def run_sharded(
                 "worker_faults need worker processes (fork backend)"
             )
         world = build(None)
-        t0 = time.perf_counter()
-        world.env.run(until=until_ns)
-        stats = ShardStats(
-            shards=1,
-            backend="serial",
-            events_per_shard=[world.env.events_processed],
-            sent_per_shard=[world.mailbox.sent],
-            compute_s=[time.perf_counter() - t0],
-            wait_s=[0.0],
-        )
-        return merge([world.finalize()]), stats
+        # As in the fork worker: keep the collections the run triggers
+        # from re-scanning everything the build allocated.  Unlike a
+        # worker, this process lives on, so thaw it when the run ends.
+        gc.freeze()
+        try:
+            t0 = time.perf_counter()
+            world.env.run(until=until_ns)
+            stats = ShardStats(
+                shards=1,
+                backend="serial",
+                events_per_shard=[world.env.events_processed],
+                sent_per_shard=[world.mailbox.sent],
+                compute_s=[time.perf_counter() - t0],
+                wait_s=[0.0],
+            )
+            return merge([world.finalize()]), stats
+        finally:
+            gc.unfreeze()
 
     if backend == "auto":
         backend = "fork" if _fork_available() else "inline"

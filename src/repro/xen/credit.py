@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.errors import SchedulerError
 from repro.sim.core import Environment
-from repro.sim.events import PENDING, Event, FirstOf, Timeout
+from repro.sim.events import PENDING, Event, FirstOf, Timeout, fired
 from repro.sim.invariants import GUARD_CREDIT_CAP
 from repro.units import MS
 from repro.xen.vcpu import VCPU, Compute, PollUntil
@@ -191,7 +191,7 @@ class PCPUScheduler:
                 elif isinstance(item, PollUntil):
                     slice_slack = item.check_cost_ns
                     done = item.event
-                    if done.callbacks is None or done._value is not PENDING:
+                    if fired(done):
                         # Completion already there: one poll check sees it.
                         ran = item.check_cost_ns
                         if horizon < ran:
@@ -203,7 +203,7 @@ class PCPUScheduler:
                         yield FirstOf(env, Timeout(env, horizon), done)
                         ran = env._now - slice_start
                         item.polled_ns += ran
-                        if done._value is not PENDING:
+                        if fired(done):
                             # Charge the final poll check that observes
                             # the CQE.
                             d = item.check_cost_ns

@@ -50,7 +50,11 @@ class Compute(WorkItem):
 
 
 class PollUntil(WorkItem):
-    """Busy-poll until ``event`` fires (observed while scheduled)."""
+    """Busy-poll until ``event`` fires (observed while scheduled).
+
+    The scheduler reads "fires" as :func:`repro.sim.events.fired`: a
+    ``Timeout`` counts only once its time has come.
+    """
 
     __slots__ = ("event", "check_cost_ns", "polled_ns")
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.benchex import BenchExConfig
 from repro.parallel import (
     CELL_SCHEMA,
     ResultCache,
@@ -13,6 +14,7 @@ from repro.parallel import (
     canonical,
     cell_key,
 )
+from repro.parallel.cache import uncanonical
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,6 +62,15 @@ class TestCanonical:
     def test_result_is_json_encodable(self):
         blob = json.dumps(canonical({"cfg": FakeConfig("x", 1)}))
         assert "FakeConfig" in blob
+
+    def test_spec_with_a_removed_field_still_rebuilds(self):
+        """A manifest written when ``BenchExConfig`` still had its
+        ``execute_finance_kernel`` knob replays: the field is dropped."""
+        cfg = BenchExConfig(name="rep", n_options=100, ctime_jitter=0.1)
+        old = json.loads(json.dumps(canonical({"config": cfg})))
+        assert "execute_finance_kernel" not in old["config"]["fields"]
+        old["config"]["fields"]["execute_finance_kernel"] = True
+        assert uncanonical(old) == {"config": cfg}
 
 
 class TestCellKey:

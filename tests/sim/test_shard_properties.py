@@ -25,7 +25,9 @@ Runs under the pinned derandomized profiles of ``tests/conftest.py``.
 """
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -573,6 +575,59 @@ class TestForkBackendToyWorld:
                 merge=_merge,
                 backend="fork",
             )
+
+
+class _Cycle:
+    pass
+
+
+def _caller_garbage():
+    """A reference cycle only the cyclic collector can free."""
+    a, b = _Cycle(), _Cycle()
+    a.peer, b.peer = b, a
+    return weakref.ref(a)
+
+
+class TestSerialCollector:
+    """The serial path freezes the built world for its run and thaws it
+    when the run ends, also when it raises, so garbage the caller made
+    before the run is still collected afterwards."""
+
+    @staticmethod
+    def _run_with_garbage(world_cls, merge=_merge):
+        was_enabled = gc.isenabled()
+        gc.disable()  # no automatic collection may free the cycle early
+        try:
+            ref = _caller_garbage()
+            try:
+                return run_sharded(
+                    lambda doms: world_cls(range(3), [(0, 0, 1, 0, 2)]),
+                    n_domains=3, shards=1, until_ns=UNTIL,
+                    lookahead_ns=LOOKAHEAD, merge=merge, backend="serial",
+                )
+            finally:
+                assert gc.get_freeze_count() == 0
+                gc.collect()
+                assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_run_is_frozen_and_thawed(self):
+        class FreezeProbe(EchoWorld):
+            def finalize(self):
+                return gc.get_freeze_count()
+
+        frozen, _ = self._run_with_garbage(FreezeProbe, merge=lambda parts: parts[0])
+        assert frozen > 0
+
+    def test_a_raising_run_is_thawed(self):
+        class ExplodingWorld(EchoWorld):
+            def _on_msg(self, msg):
+                raise RuntimeError("boom in the serial run")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            self._run_with_garbage(ExplodingWorld)
 
 
 class TestRunShardedValidation:

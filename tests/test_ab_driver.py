@@ -172,3 +172,43 @@ def test_report_fails_an_incorrect_or_failed_run_and_a_regression():
     rows, failures = ab.report({"w1": slow}, metrics)
     assert [f.split(":")[0] for f in failures] == ["w1 ops_per_s"]
     assert rows[0][2]["ratio"] == pytest.approx(0.79)
+
+
+def test_control_runs_head_again_in_every_round(fake_repo):
+    log = fake_repo(110.0)
+    assert ab.main(
+        ["HEAD~1", "--pairs", "2", "--seconds", "1", "--seed", "3", "--control"]
+    ) == 0
+    runs = _runs(log)
+    assert [run["rev"] for run in runs] == [
+        "base", "head", "head", "head", "head", "base"
+    ]
+    assert [run["seed"] for run in runs] == ["3"] * 3 + ["4"] * 3
+    cwds = {pathlib.Path(run["cwd"]) for run in runs}
+    assert len(cwds) == 3
+    assert len({cwd.parent for cwd in cwds}) == 1
+    assert len({len(cwd.parts) for cwd in cwds}) == 1
+    assert len(_worktrees()) == 1
+
+
+def test_control_reports_the_aa_ratio_and_flags_a_claim_inside_its_noise():
+    metrics = _BENCHMARK["end_to_end"][:1]
+    noisy = [0.9, 1.1] * 5
+    pairs = [
+        {"seed": i, "base": _doc(100.0), "head": _doc(105.0),
+         "ctrl": _doc(105.0 * r)}
+        for i, r in enumerate(noisy)
+    ]
+    rows, failures = ab.report({"w1": pairs}, metrics)
+    c = rows[0][2]
+    assert failures == []
+    assert (c["verdict"], c["within_noise"]) == ("faster", True)
+    assert c["control"]["ratio"] == pytest.approx(1.0)
+    assert c["control"]["noise"] == pytest.approx(0.1)
+    assert "faster (within A/A noise)" in ab.render(rows)
+    for pair in pairs:
+        pair["ctrl"] = _doc(105.0)
+    rows, _ = ab.report({"w1": pairs}, metrics)
+    assert (rows[0][2]["verdict"], rows[0][2]["within_noise"]) == ("faster", False)
+    pairs[0]["ctrl"] = _doc(105.0, failed=1)
+    assert len(ab.report({"w1": pairs}, metrics)[1]) == 1

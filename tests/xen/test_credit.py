@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.sim import Environment
+from repro.sim.events import fired
 from repro.units import MS, US
 from repro.xen.credit import PCPUScheduler
 from repro.xen.vcpu import VCPU
@@ -291,6 +292,44 @@ class TestPolling:
         env.run(until=40 * MS)
         # Polled 50% of 40ms.
         assert vcpu.cumulative_ns == pytest.approx(20 * MS, rel=0.1)
+
+    def test_poll_on_a_pending_timeout_waits_for_it(self, env):
+        """A Timeout holds its value from creation; the poll must still
+        run until its time comes, then pay the final check."""
+        _, vcpu = make(env)
+        result = {}
+
+        def app(env):
+            polled = yield vcpu.poll_until(env.timeout(50 * US), check_cost_ns=200)
+            result["polled"] = polled
+            result["at"] = env.now
+
+        env.process(app(env))
+        env.run(until=1 * MS)
+        assert result == {"polled": 50 * US + 200, "at": 50 * US + 200}
+
+    def test_poll_on_a_timeout_due_now_costs_one_check(self, env):
+        _, vcpu = make(env)
+        result = {}
+
+        def app(env):
+            polled = yield vcpu.poll_until(env.timeout(0), check_cost_ns=200)
+            result["polled"] = polled
+            result["at"] = env.now
+
+        env.process(app(env))
+        env.run(until=1 * MS)
+        assert result == {"polled": 200, "at": 200}
+
+    def test_fired_reads_a_timeouts_due_time(self, env):
+        later, now, event = env.timeout(5), env.timeout(0), env.event()
+        assert (fired(later), fired(now), fired(event)) == (False, True, False)
+        event.succeed()
+        assert fired(event)
+        env.run(until=4)
+        assert not fired(later)
+        env.run(until=5)
+        assert fired(later)
 
     def test_invalid_check_cost(self, env):
         _, vcpu = make(env)

@@ -3,6 +3,7 @@
 Usage, from inside a clean checkout::
 
     python tools/ab.py BASE [--workload W ...] [--pairs N] [--seconds S]
+                            [--control]
 
 ``BASE`` is any git revision; ``HEAD`` gives an A/A run.  BASE and
 ``HEAD`` are checked out as sibling ``git worktree``s in one temporary
@@ -21,6 +22,17 @@ when one side wins at least nine tenths of the pairs (ties count for
 neither) and the medians differ by more than base's IQR; it is
 "unresolved" when base's IQR is wider than the metric's bound, and
 "no change" otherwise.
+
+``--control`` adds an A/A control to the same session: a third
+worktree of ``HEAD`` runs in every round on the round's seed (rounds
+alternate base-head-ctrl and ctrl-head-base, so both base/head and
+head/ctrl swap order each round).  Beside each verdict the table then
+gives the median per-pair ctrl/head ratio and the session's noise: the
+larger distance from 1 of that ratio's first and third quartiles.  A
+verdict whose own median ratio is no farther from 1 than the noise is
+marked "within A/A noise".  The control decides nothing: verdicts and
+the gate are computed as without it, except that a control run that
+is incorrect or failed operations fails the gate like any other run.
 
 Exit status: 0 when every run is correct with no failed operation and
 no median of ``HEAD`` is worse than base's by more than the bound
@@ -45,6 +57,8 @@ import tempfile
 
 #: Both sides' worktree names: equal length, so equal paths bar one letter.
 SIDES = ("base", "head")
+#: The A/A control's worktree name (a second checkout of ``HEAD``).
+CONTROL = "ctrl"
 
 
 class AbError(Exception):
@@ -90,12 +104,14 @@ def run_once(command, tree, workload: str, seed: int, seconds: float) -> dict:
 
 def run_pairs(command, trees, workloads, pairs: int, seconds: float, seed: int,
               log) -> dict:
-    """``{workload: [{"seed", "base", "head"}, ...]}``, one entry per pair."""
+    """``{workload: [{"seed", "base", "head"[, "ctrl"]}, ...]}``, one entry
+    per pair; ``ctrl`` when ``trees`` holds the control."""
+    sides = [*SIDES, CONTROL] if CONTROL in trees else list(SIDES)
     runs = {}
     for workload in workloads:
         runs[workload] = []
         for i in range(pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            order = sides if i % 2 == 0 else sides[::-1]
             pair = {"seed": seed + i}
             for side in order:
                 pair[side] = doc = run_once(
@@ -140,12 +156,24 @@ def compare(base, head, better: str, bound: float) -> dict:
     }
 
 
+def control(head, ctrl) -> dict:
+    """The A/A control of one metric: the median per-pair ctrl/head
+    ratio and the noise, the larger distance from 1 of its quartiles."""
+    ratios = [c / h for h, c in zip(head, ctrl)]
+    q1 = q3 = ratios[0]
+    if len(ratios) > 1:
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"ratio": statistics.median(ratios),
+            "noise": max(abs(q1 - 1), abs(q3 - 1))}
+
+
 def report(runs: dict, metrics) -> tuple:
     """Table rows and gate failures for every workload and metric."""
     rows, failures = [], []
     for workload, pairs in runs.items():
+        with_control = all(CONTROL in pair for pair in pairs)
         for pair in pairs:
-            for side in SIDES:
+            for side in (*SIDES, CONTROL) if with_control else SIDES:
                 doc = pair[side]
                 if doc["correct"] is not True or doc["failed"] > 0:
                     failures.append(
@@ -157,6 +185,11 @@ def report(runs: dict, metrics) -> tuple:
             base = [p["base"]["metrics"][name]["value"] for p in pairs]
             head = [p["head"]["metrics"][name]["value"] for p in pairs]
             c = compare(base, head, m["better"], m["bound"])
+            if with_control:
+                aa = c["control"] = control(
+                    head, [p[CONTROL]["metrics"][name]["value"] for p in pairs]
+                )
+                c["within_noise"] = abs(c["ratio"] - 1) <= aa["noise"]
             rows.append((workload, name, c))
             if c["regressed"]:
                 failures.append(
@@ -168,14 +201,22 @@ def report(runs: dict, metrics) -> tuple:
 
 
 def render(rows) -> str:
+    with_control = any("control" in c for _, _, c in rows)
+    aa_head = f" {'A/A ratio (noise)':>17s}" if with_control else ""
     lines = [f"{'workload':9s} {'metric':10s} {'base median (IQR)':>22s} "
-             f"{'head median (IQR)':>22s} {'won':>6s} {'ratio':>6s}  verdict"]
+             f"{'head median (IQR)':>22s} {'won':>6s} {'ratio':>6s}{aa_head}"
+             "  verdict"]
     for workload, name, c in rows:
+        aa, verdict = "", c["verdict"]
+        if with_control:
+            aa = f" {c['control']['ratio']:9.3f} ({c['control']['noise']:5.3f})"
+            if c["within_noise"]:
+                verdict += " (within A/A noise)"
         lines.append(
             f"{workload:9s} {name:10s} "
             f"{c['base_median']:>12.4g} ({c['base_iqr']:7.3g}) "
             f"{c['head_median']:>12.4g} ({c['head_iqr']:7.3g}) "
-            f"{c['won']:>3d}/{c['pairs']:<2d} {c['ratio']:6.3f}  {c['verdict']}"
+            f"{c['won']:>3d}/{c['pairs']:<2d} {c['ratio']:6.3f}{aa}  {verdict}"
         )
     return "\n".join(lines)
 
@@ -189,6 +230,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         help="measured seconds per run (default: the benchmark's)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--control", action="store_true",
+                        help="also run HEAD against itself in every round and "
+                        "print that A/A ratio and noise beside each verdict")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -205,6 +249,8 @@ def main(argv=None) -> int:
             )
         revs = {side: git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}")
                 for side, rev in zip(SIDES, (args.base, "HEAD"))}
+        if args.control:
+            revs[CONTROL] = revs["head"]
         log(f"base {revs['base']}  head {revs['head']}")
         with worktrees(repo, revs) as trees:
             spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
