@@ -88,7 +88,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.shard import Mailbox, Message, ShardStats, run_sharded
 from repro.units import KiB, MS, MiB, SEC, US
 
-#: Topology kinds a :class:`ClusterSpec` understands.
+#: Values of ``ClusterSpec.topology``: the fabric shapes with a domain plan.
 TOPOLOGY_KINDS = ("leaf-spine", "fat-tree")
 
 
@@ -415,7 +415,7 @@ class ClusterWorld:
             ncpus = spec.vms_per_host + (4 if h == 0 else 1)
             node = Node(
                 self.env, st.fabric, f"rack{r}-host{h}", ncpus, 1.86e9,
-                self.params, topology=None,
+                self.params,
             )
             for v in range(spec.vms_per_host):
                 node.create_guest(f"rack{r}-host{h}.vm{v}")

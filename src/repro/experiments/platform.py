@@ -9,12 +9,11 @@ drivers (backend in dom0, VMM-bypass fast path).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.hw.fabric import FluidFabric
 from repro.hw.host import Host
-from repro.hw.topology import Topology
 from repro.ib.hca import HCA
 from repro.ib.params import DEFAULT_FABRIC_PARAMS, FabricParams
 from repro.sim.core import Environment
@@ -36,13 +35,8 @@ class Node:
         ncpus: int,
         cpu_freq_hz: float,
         params: FabricParams,
-        topology: Optional[Topology] = None,
     ) -> None:
         self.host = Host(name, ncpus=ncpus, cpu_freq_hz=cpu_freq_hz)
-        if topology is not None:
-            # Wire the host into the topology *before* the HCA exists:
-            # the HCA only direct-attaches hosts with no ports yet.
-            topology.attach(self.host)
         self.hypervisor = Hypervisor(env, self.host)
         self.hca = HCA(env, self.host, fabric, params)
         self.backend = IBBackend(self.hca, self.hypervisor.dom0)
@@ -90,19 +84,11 @@ class Testbed:
         self,
         seed: int = 0,
         params: FabricParams = DEFAULT_FABRIC_PARAMS,
-        topology_factory: Optional[Callable[[FluidFabric], Topology]] = None,
     ) -> None:
         self.env = Environment()
         self.rng = RngRegistry(seed)
         self.params = params
         self.fabric = FluidFabric(self.env)
-        #: Cluster wiring every added node is attached to; ``None``
-        #: keeps the paper's direct two-host crossbar semantics (and
-        #: its byte-identical goldens).
-        self.topology: Optional[Topology] = (
-            topology_factory(self.fabric) if topology_factory is not None
-            else None
-        )
         self.nodes: Dict[str, Node] = {}
 
     def add_node(
@@ -111,8 +97,7 @@ class Testbed:
         if name in self.nodes:
             raise ConfigError(f"duplicate node name {name!r}")
         node = Node(
-            self.env, self.fabric, name, ncpus, cpu_freq_hz, self.params,
-            topology=self.topology,
+            self.env, self.fabric, name, ncpus, cpu_freq_hz, self.params
         )
         self.nodes[name] = node
         return node

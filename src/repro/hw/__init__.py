@@ -17,24 +17,19 @@ from repro.hw.memory import (
     PageFrame,
     ReadOnlyView,
 )
-from repro.hw.topology import Crossbar, FatTree, LeafSpine, Topology
 
 __all__ = [
     "PAGE_SIZE",
     "AddressSpace",
     "Buffer",
-    "Crossbar",
-    "FatTree",
     "FluidFabric",
     "Host",
-    "LeafSpine",
     "MachineMemory",
     "NetLink",
     "PCPU",
     "PacketLink",
     "PageFrame",
     "ReadOnlyView",
-    "Topology",
     "Transfer",
     "maxmin_rates",
     "path_between",

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.hw.cpu import PCPU
 from repro.hw.fabric import FluidFabric, NetLink
 from repro.hw.memory import MachineMemory
 from repro.units import GiB
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hw.topology import Topology
 
 
 class Host:
@@ -37,9 +34,6 @@ class Host:
         #: Egress / ingress fabric port directions; set by attach_fabric.
         self.tx_link: Optional[NetLink] = None
         self.rx_link: Optional[NetLink] = None
-        #: The topology this host is wired into (set by Topology.attach);
-        #: ``None`` means legacy direct attachment (crossbar semantics).
-        self.topology: Optional["Topology"] = None
         #: The HCA attached to this host (set by repro.ib.hca.HCA).
         self.hca = None
 
@@ -70,26 +64,13 @@ class Host:
 def path_between(src: Host, dst: Host) -> List[NetLink]:
     """Fabric path for a transfer from ``src`` to ``dst``.
 
-    Hosts wired into a :class:`~repro.hw.topology.Topology` route
-    through it: the path is the host ports plus every switch hop the
-    topology's static routing crosses.  Directly-attached hosts keep
-    the legacy crossbar semantics — a non-blocking backplane whose only
-    contention points are the source's egress and the destination's
-    ingress port.  Loopback (same host) still crosses the HCA,
-    consuming both directions of the port.
+    Directly-attached hosts share a non-blocking backplane (the paper's
+    crossbar switch) whose only contention points are the source's
+    egress and the destination's ingress port.  Loopback (same host)
+    still crosses the HCA, consuming both directions of the port.
+    Cluster fabrics add their switch hops from a
+    :class:`~repro.hw.topology.DomainPlan` instead.
     """
     if not src.is_attached or not dst.is_attached:
         raise ConfigError("both hosts must be attached to the fabric")
-    if src.topology is not dst.topology:
-        raise ConfigError(
-            f"hosts {src.name!r} and {dst.name!r} are wired into "
-            "different topologies; no route exists between them"
-        )
-    if src.topology is not None:
-        return src.topology.path(src, dst)
-    if src.tx_link is None or dst.rx_link is None:
-        raise ConfigError(
-            f"hosts {src.name!r}/{dst.name!r} are half-attached: "
-            "missing a tx or rx port link"
-        )
     return [src.tx_link, dst.rx_link]

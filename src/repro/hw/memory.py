@@ -49,11 +49,10 @@ class MachineMemory:
             raise HypervisorError(f"host memory too small: {total_bytes}")
         self.total_frames = total_bytes // PAGE_SIZE
         self._next_mfn = 0
-        self._frames: Dict[int, PageFrame] = {}
 
     @property
     def free_frames(self) -> int:
-        return self.total_frames - len(self._frames)
+        return self.total_frames - self._next_mfn
 
     def allocate(self, owner_domid: int, nframes: int) -> List[PageFrame]:
         """Allocate ``nframes`` frames for the given domain."""
@@ -63,27 +62,11 @@ class MachineMemory:
             raise HypervisorError(
                 f"out of memory: requested {nframes}, free {self.free_frames}"
             )
-        frames = []
-        for _ in range(nframes):
-            frame = PageFrame(self._next_mfn, owner_domid)
-            self._frames[self._next_mfn] = frame
-            self._next_mfn += 1
-            frames.append(frame)
-        return frames
-
-    def free(self, frames: List[PageFrame]) -> None:
-        """Return frames to the allocator; pinned frames cannot be freed."""
-        for frame in frames:
-            if frame.pinned:
-                raise HypervisorError(f"cannot free pinned frame {frame!r}")
-            self._frames.pop(frame.mfn, None)
-
-    def lookup(self, mfn: int) -> PageFrame:
-        """Find a frame by machine frame number."""
-        try:
-            return self._frames[mfn]
-        except KeyError:
-            raise HypervisorError(f"no such machine frame: {mfn}") from None
+        start = self._next_mfn
+        self._next_mfn += nframes
+        return [
+            PageFrame(mfn, owner_domid) for mfn in range(start, self._next_mfn)
+        ]
 
 
 class AddressSpace:

@@ -1,310 +1,43 @@
-"""Fabric topologies: first-class cluster wiring and static routing.
+"""Fabric topologies as domain plans: cluster wiring and static routing.
 
-The paper's testbed is two hosts on one non-blocking switch, and the
-original ``path_between`` hardwired that shape: the only contention
-points were the source's egress and the destination's ingress port.
-Growing the simulated world to hundreds of hosts (ROADMAP item 1)
-needs what a real fabric has — racks, leaf/spine switches,
-oversubscribed uplinks — as first-class objects:
+The paper's testbed is two hosts on one non-blocking switch (Xsigo
+VP780): the only contention points are the source's egress and the
+destination's ingress port, which is what
+:func:`~repro.hw.host.path_between` models for directly-attached
+hosts.  Larger fabrics — racks, leaf/spine switches, oversubscribed
+uplinks — are described by a :class:`DomainPlan`: pure index math,
+with no fabric or host object, so a plan is picklable and identical
+in every worker process.  A plan answers three questions:
 
-* :class:`Topology` owns host attachment and static routing.  A route
-  is a list of contended :class:`~repro.hw.fabric.NetLink` directions:
-  the host ports plus every switch hop the transfer crosses.
-* :class:`Crossbar` is the paper's switch (Xsigo VP780): one
-  non-blocking backplane.  It creates exactly the legacy link names
-  and two-link paths, so the published two-host goldens are untouched.
-* :class:`LeafSpine` wires ``racks`` leaf switches to ``spines`` spine
-  switches; cross-rack traffic contends on leaf uplinks/downlinks.
-* :class:`FatTree` is the classic k-ary fat-tree (k pods, k^3/4
-  hosts) with three-stage edge/aggregation/core routing.
+* which **domain** (isolation unit) a host index belongs to;
+* which switch links each domain *owns* (created in its own fabric,
+  in a deterministic order);
+* how a route decomposes: intra-domain hops, or a (source-side,
+  destination-side) split for cross-domain traffic — the two relay
+  segments, with the propagation between them carried as latency on
+  the cross-domain channel (the conservative lookahead).
+
+The domain is the unit within which the fluid max-min solver may
+couple flows; *no link is owned by two domains*, which is what makes
+per-domain fabrics byte-identical regardless of how domains are
+grouped into shards (:mod:`repro.experiments.cluster`,
+:mod:`repro.sim.shard`).  For a leaf-spine fabric the domain is the
+rack (each leaf's uplinks/downlinks are dedicated); for a fat-tree it
+is the pod (aggregation uplinks are shared by every edge in the pod,
+so a rack-grained split would couple fabrics through them).
 
 Routing is deterministic and static: the spine (or core) carrying a
 (src, dst) pair is a pure function of the two host indices, so a
 transfer's path — and therefore every max-min solve — is reproducible
-run to run and identical under serial and parallel sweeps.  Routes are
-cached per (src, dst) index pair after first use; switch links are all
-created at topology construction time, so link creation order never
-depends on traffic or attach order.
+run to run and identical under serial and sharded runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.hw.fabric import FluidFabric, NetLink
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hw.host import Host
-
-
-class Topology:
-    """Base class: host registry, route cache, and the crossbar route.
-
-    Subclasses override :meth:`_switch_links` to insert the switch
-    hops between the source's tx port and the destination's rx port,
-    and :attr:`max_hosts` to bound attachment.
-    """
-
-    kind = "abstract"
-
-    def __init__(self, fabric: FluidFabric, link_bytes_per_sec: float) -> None:
-        if link_bytes_per_sec <= 0:
-            raise ConfigError(
-                f"topology link rate must be > 0, got {link_bytes_per_sec}"
-            )
-        self.fabric = fabric
-        self.link_bytes_per_sec = float(link_bytes_per_sec)
-        self.hosts: List["Host"] = []
-        self._host_index: Dict[str, int] = {}
-        self._route_cache: Dict[Tuple[int, int], Tuple[NetLink, ...]] = {}
-
-    # -- attachment ---------------------------------------------------------
-    @property
-    def max_hosts(self) -> Optional[int]:
-        """Attachment capacity; ``None`` means unbounded (crossbar)."""
-        return None
-
-    def attach(self, host: "Host") -> "Host":
-        """Attach ``host``: create its port links and register it.
-
-        Must run before the host's HCA is constructed (the HCA only
-        attaches hosts that are not already attached).
-        """
-        if host.name in self._host_index:
-            raise ConfigError(
-                f"host {host.name!r} is already attached to this topology"
-            )
-        cap = self.max_hosts
-        if cap is not None and len(self.hosts) >= cap:
-            raise ConfigError(
-                f"{self.kind} topology is full ({cap} hosts); "
-                f"cannot attach {host.name!r}"
-            )
-        host.attach_fabric(self.fabric, self.link_bytes_per_sec)
-        self._host_index[host.name] = len(self.hosts)
-        self.hosts.append(host)
-        host.topology = self
-        return host
-
-    def index_of(self, host: "Host") -> int:
-        try:
-            return self._host_index[host.name]
-        except KeyError:
-            raise ConfigError(
-                f"host {host.name!r} is not attached to this topology"
-            ) from None
-
-    def rack_of(self, host: "Host") -> int:
-        """Failure/locality domain of ``host`` (0 for a single switch)."""
-        self.index_of(host)  # membership check
-        return 0
-
-    # -- routing ------------------------------------------------------------
-    def path(self, src: "Host", dst: "Host") -> List[NetLink]:
-        """Static route from ``src`` to ``dst`` as contended links.
-
-        Always ``[src.tx, <switch hops>, dst.rx]``; loopback (same
-        host) crosses no switch, consuming both port directions —
-        identical to the legacy two-host behavior.
-        """
-        si, di = self.index_of(src), self.index_of(dst)
-        route = self._route_cache.get((si, di))
-        if route is None:
-            if src.tx_link is None or dst.rx_link is None:
-                raise ConfigError(
-                    f"hosts {src.name!r}/{dst.name!r} have no fabric ports"
-                )
-            hops = self._switch_links(si, di) if si != di else ()
-            route = (src.tx_link, *hops, dst.rx_link)
-            self._route_cache[(si, di)] = route
-        return list(route)
-
-    def _switch_links(self, si: int, di: int) -> Tuple[NetLink, ...]:
-        """Switch hops between distinct hosts ``si`` -> ``di``."""
-        return ()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} hosts={len(self.hosts)}>"
-
-
-class Crossbar(Topology):
-    """One non-blocking switch: contention only at host ports.
-
-    The default topology, byte-identical to the legacy wiring: it
-    creates no switch links and every path is ``[src.tx, dst.rx]``.
-    """
-
-    kind = "crossbar"
-
-
-class LeafSpine(Topology):
-    """A two-stage Clos fabric: ``racks`` leaves, ``spines`` spines.
-
-    Each leaf is non-blocking for its own rack, so intra-rack paths
-    are the two host ports.  Cross-rack traffic additionally crosses
-    one leaf uplink (``leaf<R>.up<S>``) and one downlink
-    (``leaf<R>.down<S>``); the spine ``S`` for a pair is the
-    deterministic hash ``(src_index + dst_index) % spines``.
-    ``uplink_bytes_per_sec`` models oversubscription (default: same
-    rate as host ports, i.e. ``spines``-way non-blocking per rack).
-    """
-
-    kind = "leaf-spine"
-
-    def __init__(
-        self,
-        fabric: FluidFabric,
-        link_bytes_per_sec: float,
-        racks: int,
-        hosts_per_rack: int,
-        spines: int,
-        uplink_bytes_per_sec: Optional[float] = None,
-    ) -> None:
-        super().__init__(fabric, link_bytes_per_sec)
-        if racks < 1 or hosts_per_rack < 1 or spines < 1:
-            raise ConfigError(
-                f"leaf-spine needs racks/hosts_per_rack/spines >= 1, got "
-                f"{racks}/{hosts_per_rack}/{spines}"
-            )
-        self.racks = racks
-        self.hosts_per_rack = hosts_per_rack
-        self.spines = spines
-        up_bps = float(uplink_bytes_per_sec or link_bytes_per_sec)
-        self._up = [
-            [fabric.add_link(f"leaf{r}.up{s}", up_bps) for s in range(spines)]
-            for r in range(racks)
-        ]
-        self._down = [
-            [fabric.add_link(f"leaf{r}.down{s}", up_bps) for s in range(spines)]
-            for r in range(racks)
-        ]
-
-    @property
-    def max_hosts(self) -> Optional[int]:
-        return self.racks * self.hosts_per_rack
-
-    def rack_of(self, host: "Host") -> int:
-        return self.index_of(host) // self.hosts_per_rack
-
-    def _switch_links(self, si: int, di: int) -> Tuple[NetLink, ...]:
-        ra, rb = si // self.hosts_per_rack, di // self.hosts_per_rack
-        if ra == rb:
-            return ()
-        s = (si + di) % self.spines
-        return (self._up[ra][s], self._down[rb][s])
-
-
-class FatTree(Topology):
-    """The classic k-ary fat-tree: k pods, k^3/4 hosts.
-
-    Each pod has ``k/2`` edge and ``k/2`` aggregation switches; each
-    edge switch serves ``k/2`` hosts; ``(k/2)^2`` core switches join
-    the pods.  Routing is the standard three-stage static scheme with
-    the core chosen as ``(src_index + dst_index) % (k/2)^2`` (the
-    aggregation switch follows from the core: core ``c`` homes on
-    aggregation ``c // (k/2)`` in every pod).
-    """
-
-    kind = "fat-tree"
-
-    def __init__(
-        self, fabric: FluidFabric, link_bytes_per_sec: float, k: int
-    ) -> None:
-        super().__init__(fabric, link_bytes_per_sec)
-        if k < 2 or k % 2:
-            raise ConfigError(f"fat-tree arity k must be even and >= 2, got {k}")
-        self.k = k
-        half = self._half = k // 2
-        bps = self.link_bytes_per_sec
-        # Edge<->aggregation, per pod: edge e talks to every agg a.
-        self._edge_up = [
-            [
-                [
-                    fabric.add_link(f"pod{p}.edge{e}.up{a}", bps)
-                    for a in range(half)
-                ]
-                for e in range(half)
-            ]
-            for p in range(k)
-        ]
-        self._agg_down = [
-            [
-                [
-                    fabric.add_link(f"pod{p}.agg{a}.down{e}", bps)
-                    for e in range(half)
-                ]
-                for a in range(half)
-            ]
-            for p in range(k)
-        ]
-        # Aggregation<->core: agg a homes cores [a*half, (a+1)*half).
-        self._agg_up = [
-            [
-                [
-                    fabric.add_link(f"pod{p}.agg{a}.up{a * half + j}", bps)
-                    for j in range(half)
-                ]
-                for a in range(half)
-            ]
-            for p in range(k)
-        ]
-        self._core_down = [
-            [fabric.add_link(f"core{c}.down{p}", bps) for p in range(k)]
-            for c in range(half * half)
-        ]
-
-    @property
-    def max_hosts(self) -> Optional[int]:
-        return self.k * self._half * self._half
-
-    def rack_of(self, host: "Host") -> int:
-        """The edge switch is the rack: ``k/2`` hosts per edge."""
-        return self.index_of(host) // self._half
-
-    def _switch_links(self, si: int, di: int) -> Tuple[NetLink, ...]:
-        half = self._half
-        if si // half == di // half:
-            return ()  # same edge switch: non-blocking
-        p, q = si // (half * half), di // (half * half)
-        e, f = (si // half) % half, (di // half) % half
-        if p == q:
-            a = (si + di) % half
-            return (self._edge_up[p][e][a], self._agg_down[p][a][f])
-        c = (si + di) % (half * half)
-        a = c // half
-        return (
-            self._edge_up[p][e][a],
-            self._agg_up[p][a][c - a * half],
-            self._core_down[c][q],
-            self._agg_down[q][a][f],
-        )
-
-
-# -- domain plans: the shardable projection of a topology --------------------
-#
-# A :class:`DomainPlan` is the pure-index-math view of a topology that
-# the sharded cluster model (:mod:`repro.experiments.cluster`,
-# :mod:`repro.sim.shard`) partitions on.  It answers three questions
-# without ever touching a fabric or a host object, so it is picklable
-# and identical in every worker process:
-#
-# * which **domain** (isolation unit) a host index belongs to;
-# * which switch links each domain *owns* (created in its own fabric,
-#   in a deterministic order);
-# * how a route decomposes: intra-domain hops, or a (source-side,
-#   destination-side) split for cross-domain traffic — the two relay
-#   segments, with the propagation between them carried as latency on
-#   the cross-domain channel (the conservative lookahead).
-#
-# The domain is the unit within which the fluid max-min solver may
-# couple flows; *no link is owned by two domains*, which is what makes
-# per-domain fabrics byte-identical regardless of how domains are
-# grouped into shards.  For a leaf-spine fabric the domain is the rack
-# (each leaf's uplinks/downlinks are dedicated); for a fat-tree it is
-# the pod (aggregation uplinks are shared by every edge in the pod, so
-# a rack-grained split would couple fabrics through them).
 
 
 @dataclass(frozen=True)
@@ -358,11 +91,17 @@ class DomainPlan:
 
 @dataclass(frozen=True)
 class LeafSpinePlan(DomainPlan):
-    """Rack-grained plan of a :class:`LeafSpine` fabric.
+    """Rack-grained plan of a two-stage Clos fabric: ``racks`` leaves,
+    ``spines`` spines.
 
+    Each leaf is non-blocking for its own rack, so intra-rack routes
+    cross no switch link.  Cross-rack traffic crosses one leaf uplink
+    (``leaf<R>.up<S>``) and one downlink (``leaf<R>.down<S>``); the
+    spine ``S`` for a pair is ``(src_index + dst_index) % spines``.
     Each rack owns its leaf's uplinks and downlinks (they are dedicated
     per rack), so racks are link-disjoint and the domain is the rack.
-    Link names match :class:`LeafSpine` exactly.
+    ``uplink_bytes_per_sec`` models oversubscription (default: the
+    host port rate).
     """
 
     racks: int
@@ -407,6 +146,10 @@ class LeafSpinePlan(DomainPlan):
 
     def intra_hops(self, si: int, di: int) -> Tuple[str, ...]:
         self._check_pair(si, di)
+        if self.domain_of(si) != self.domain_of(di):
+            raise ConfigError(
+                f"hosts {si}/{di} are in different racks; use cross_hops"
+            )
         return ()  # each leaf is non-blocking for its own rack
 
     def cross_hops(
@@ -424,14 +167,20 @@ class LeafSpinePlan(DomainPlan):
 
 @dataclass(frozen=True)
 class FatTreePlan(DomainPlan):
-    """Pod-grained plan of a :class:`FatTree` fabric.
+    """Pod-grained plan of the classic k-ary fat-tree: k pods, k^3/4
+    hosts.
+
+    Each pod has ``k/2`` edge and ``k/2`` aggregation switches; each
+    edge switch serves ``k/2`` hosts; ``(k/2)^2`` core switches join
+    the pods.  Routing is the standard three-stage static scheme with
+    the core chosen as ``(src_index + dst_index) % (k/2)^2`` (core
+    ``c`` homes on aggregation ``c // (k/2)`` in every pod).
 
     Aggregation uplinks are shared by every edge switch of a pod, so
     the pod — not the edge/rack — is the smallest link-disjoint unit.
     A pod owns its edge and aggregation links; each core switch's
     per-pod downlink ``core<C>.down<P>`` is owned by the *destination*
-    pod ``P`` (it is dedicated to traffic entering that pod).  Link
-    names match :class:`FatTree` exactly.
+    pod ``P`` (it is dedicated to traffic entering that pod).
     """
 
     k: int

@@ -44,8 +44,7 @@ class HCA:
         params: FabricParams = DEFAULT_FABRIC_PARAMS,
         name: Optional[str] = None,
     ) -> None:
-        if not host.is_attached:
-            host.attach_fabric(fabric, params.link_bytes_per_sec)
+        host.attach_fabric(fabric, params.link_bytes_per_sec)
         self.env = env
         self.host = host
         self.fabric = fabric

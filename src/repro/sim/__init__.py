@@ -23,7 +23,7 @@ from repro.sim.events import (
     Interrupt,
     Timeout,
 )
-from repro.sim.monitor import Counter, ProbeSet, TimeSeries, jitter, sampled_mean
+from repro.sim.monitor import ProbeSet, TimeSeries
 from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Request, Resource
 from repro.sim.rng import RngRegistry
@@ -43,7 +43,6 @@ __all__ = [
     "CheckpointConfig",
     "Condition",
     "ConditionValue",
-    "Counter",
     "Environment",
     "Event",
     "FilterStore",
@@ -64,11 +63,9 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
-    "jitter",
     "load_checkpoint",
     "load_latest",
     "run_sharded",
-    "sampled_mean",
     "save_checkpoint",
     "window_boundaries",
 ]

@@ -20,9 +20,9 @@ class TestMachineMemory:
         mem = MachineMemory(16 * PAGE_SIZE)
         frames = mem.allocate(owner_domid=1, nframes=4)
         assert len(frames) == 4
+        assert [f.mfn for f in frames] == [0, 1, 2, 3]
+        assert all(f.owner_domid == 1 for f in frames)
         assert mem.free_frames == 12
-        mem.free(frames)
-        assert mem.free_frames == 16
 
     def test_unique_mfns(self):
         mem = MachineMemory(16 * PAGE_SIZE)
@@ -33,20 +33,6 @@ class TestMachineMemory:
         mem = MachineMemory(4 * PAGE_SIZE)
         with pytest.raises(HypervisorError, match="out of memory"):
             mem.allocate(1, 5)
-
-    def test_cannot_free_pinned(self):
-        mem = MachineMemory(4 * PAGE_SIZE)
-        frames = mem.allocate(1, 1)
-        frames[0].pinned = True
-        with pytest.raises(HypervisorError, match="pinned"):
-            mem.free(frames)
-
-    def test_lookup(self):
-        mem = MachineMemory(4 * PAGE_SIZE)
-        frame = mem.allocate(7, 1)[0]
-        assert mem.lookup(frame.mfn) is frame
-        with pytest.raises(HypervisorError):
-            mem.lookup(999)
 
     def test_too_small(self):
         with pytest.raises(HypervisorError):

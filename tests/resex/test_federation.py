@@ -7,7 +7,6 @@ import pytest
 from repro.benchex import INTERFERER_2MB, BenchExConfig, BenchExPair, run_pairs
 from repro.errors import PricingError
 from repro.experiments import Testbed
-from repro.hw import LeafSpine
 from repro.resex import (
     IOShares,
     LatencySLA,
@@ -177,16 +176,10 @@ class TestFederation:
 
 
 def build_cluster_bed(racks=3, seed=3):
-    """A minimal leaf-spine cluster: one host per rack, one guest each."""
-    from repro.ib.params import DEFAULT_FABRIC_PARAMS
-
-    bps = DEFAULT_FABRIC_PARAMS.link_bytes_per_sec
-    bed = Testbed(
-        seed=seed,
-        topology_factory=lambda fabric: LeafSpine(
-            fabric, bps, racks=racks, hosts_per_rack=1, spines=1
-        ),
-    )
+    """A minimal cluster: one host per rack, one guest each.  The price
+    casts ride an in-process ``send``, not the fabric, so the hosts are
+    directly attached."""
+    bed = Testbed(seed=seed)
     controllers = []
     for r in range(racks):
         node = bed.add_node(f"rack{r}-head", ncpus=2)

@@ -1,10 +1,9 @@
-"""Unit tests for probes (TimeSeries/Counter/ProbeSet) and RNG streams."""
+"""Unit tests for probes (TimeSeries/ProbeSet) and RNG streams."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Counter, Environment, ProbeSet, RngRegistry, TimeSeries
-from repro.sim.monitor import jitter, sampled_mean
+from repro.sim import Environment, ProbeSet, RngRegistry, TimeSeries
 
 
 class TestTimeSeries:
@@ -40,63 +39,23 @@ class TestTimeSeries:
         # The previously handed-out arrays are unchanged.
         np.testing.assert_array_equal(stale_values, [1.0])
 
-    def test_last(self):
-        ts = TimeSeries()
-        ts.record(3, 7.0)
-        assert ts.last() == (3, 7.0)
-
-    def test_last_empty_raises(self):
-        with pytest.raises(IndexError):
-            TimeSeries().last()
-
-    def test_window_half_open(self):
-        ts = TimeSeries()
-        for t in range(10):
-            ts.record(t, float(t))
-        np.testing.assert_array_equal(ts.window(2, 5), [2.0, 3.0, 4.0])
-
-    def test_stats(self):
-        ts = TimeSeries()
-        for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            ts.record(i, v)
-        assert ts.mean() == pytest.approx(2.5)
-        assert ts.std() == pytest.approx(np.std([1, 2, 3, 4]))
-        assert ts.percentile(50) == pytest.approx(2.5)
-
-    def test_stats_empty_are_nan(self):
-        ts = TimeSeries()
-        assert np.isnan(ts.mean())
-        assert np.isnan(ts.std())
-        assert np.isnan(ts.percentile(99))
-
-
-class TestCounter:
-    def test_add_and_mean(self):
-        c = Counter("pkts")
-        c.add(10.0)
-        c.add(20.0)
-        assert c.count == 2
-        assert c.total == 30.0
-        assert c.mean == 15.0
-
-    def test_mean_empty_is_nan(self):
-        assert np.isnan(Counter().mean)
-
 
 class TestProbeSet:
     def test_record_uses_sim_time(self):
         env = Environment()
         probes = ProbeSet(env, prefix="vm1")
 
+        ts = probes.ts("latency")
+
         def proc(env):
             yield env.timeout(100)
-            probes.record("latency", 209.0)
+            probes.record_all([(ts, 209.0)])
 
         env.process(proc(env))
         env.run()
-        ts = probes.ts("latency")
         assert ts.name == "vm1.latency"
-        assert ts.last() == (100, 209.0)
+        assert list(ts.times) == [100]
+        assert list(ts.values) == [209.0]
 
     def test_record_mirrors_to_telemetry_bus(self):
         from repro.telemetry import TelemetryBus
@@ -104,7 +63,7 @@ class TestProbeSet:
         env = Environment()
         env.telemetry = TelemetryBus()
         probes = ProbeSet(env, prefix="resex")
-        probes.record("dom1.cap", 40.0)
+        probes.record_all([(probes.ts("dom1.cap"), 40.0)])
         counters = env.telemetry.select(kind="counter", cat="resex")
         assert len(counters) == 1
         assert counters[0].name == "resex.dom1.cap"
@@ -116,16 +75,7 @@ class TestProbeSet:
         env = Environment()
         probes = ProbeSet(env)
         assert probes.ts("a") is probes.ts("a")
-        assert probes.counter("c") is probes.counter("c")
-
-
-class TestHelpers:
-    def test_sampled_mean_empty(self):
-        assert np.isnan(sampled_mean([]))
-
-    def test_jitter(self):
-        assert jitter([5.0, 5.0, 5.0]) == 0.0
-        assert jitter([0.0, 2.0]) == pytest.approx(1.0)
+        assert probes.ts("a") is not probes.ts("b")
 
 
 class TestRngRegistry:
@@ -167,23 +117,21 @@ class TestRngRegistry:
 
 class TestProbeSetRecordAll:
     def test_record_all_matches_record(self):
-        """Writing through resolved series records and mirrors exactly
-        what the by-name path does, in the same order."""
+        """Writing through resolved series records each sample on its
+        series and mirrors it onto the bus, in the order given, all at
+        the current simulation time."""
         from repro.telemetry import TelemetryBus
 
-        def run(by_name: bool):
-            env = Environment()
-            env.telemetry = TelemetryBus()
-            probes = ProbeSet(env, prefix="resex")
-            a, b = probes.ts("dom1.cap"), probes.ts("dom1.rate")
-            if by_name:
-                probes.record("dom1.cap", 40)
-                probes.record("dom1.rate", 1.5)
-            else:
-                probes.record_all([(a, 40), (b, 1.5)])
-            return (
-                [(r.name, r.ts_ns, r.value) for r in env.telemetry.records],
-                [(ts.name, ts.last()) for ts in probes.series.values()],
-            )
-
-        assert run(by_name=False) == run(by_name=True)
+        env = Environment()
+        env.telemetry = TelemetryBus()
+        probes = ProbeSet(env, prefix="resex")
+        a, b = probes.ts("dom1.cap"), probes.ts("dom1.rate")
+        env.run(until=50)
+        probes.record_all([(a, 40), (b, 1.5), (a, 30)])
+        assert [(r.name, r.ts_ns, r.value) for r in env.telemetry.records] == [
+            ("resex.dom1.cap", 50, 40.0),
+            ("resex.dom1.rate", 50, 1.5),
+            ("resex.dom1.cap", 50, 30.0),
+        ]
+        assert list(a.times) == [50, 50] and list(a.values) == [40.0, 30.0]
+        assert list(b.times) == [50] and list(b.values) == [1.5]

@@ -40,9 +40,10 @@ class TestDisabledByDefault:
 
         env = Environment()
         probes = ProbeSet(env, prefix="x")
-        probes.record("a", 1.0)
+        a = probes.ts("a")
+        probes.record_all([(a, 1.0)])
         assert len(env.telemetry) == 0
-        assert len(probes.ts("a")) == 1
+        assert len(a) == 1
 
 
 class TestCaptureInstall:
